@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper bench-topology bench-faults bench-channel bench-broadcast bench-mobility bench-parallel bench-serve chaos serve-chaos figures examples lint clean
+.PHONY: install test bench bench-paper bench-topology bench-faults bench-channel bench-broadcast bench-mobility bench-parallel bench-serve perfbench-selftest chaos serve-chaos figures examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -39,6 +39,9 @@ bench-parallel:
 
 bench-serve:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py
+
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos_exec.py tests/test_exec_supervise.py tests/test_exec_journal.py -m "slow or not slow"

@@ -202,8 +202,10 @@ def broadcast_sd(
             ),
         )
 
+    heads = structure.clusterheads
+
     # -- initiation --------------------------------------------------------
-    if structure.is_clusterhead(source):
+    if source in heads:
         head_transmit(source, 0, None)
     else:
         transmit(
@@ -233,7 +235,7 @@ def broadcast_sd(
             for x in view.sorted_neighbours(sender):
                 if x not in reception:
                     reception[x] = t + 1
-                if structure.is_clusterhead(x):
+                if x in heads:
                     if x not in forwarded_heads:
                         head_transmit(x, t + 1, packet)
                 else:

@@ -146,7 +146,8 @@ class ClusterStructure:
         """
         if v not in self.graph:
             raise NodeNotFoundError(v)
-        return frozenset(w for w in self.graph.neighbours_view(v) if self.is_clusterhead(w))
+        heads = self.clusterheads
+        return frozenset(w for w in self.graph.neighbours_view(v) if w in heads)
 
     @property
     def num_clusters(self) -> int:

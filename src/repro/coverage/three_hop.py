@@ -60,7 +60,8 @@ def three_hop_coverage(
     Raises:
         CoverageError: if ``head`` is not a clusterhead.
     """
-    if not structure.is_clusterhead(head):
+    heads = structure.clusterheads
+    if head not in heads:
         raise CoverageError(f"node {head} is not a clusterhead")
     if view is None:
         view = structure.topology
@@ -72,7 +73,7 @@ def three_hop_coverage(
     indirect: Dict[NodeId, Set[WitnessPair]] = {}
 
     for node, d in dist.items():
-        if not structure.is_clusterhead(node) or node == head:
+        if node not in heads or node == head:
             continue
         if d == 2:
             c2.add(node)

@@ -65,7 +65,11 @@ def two_five_hop_coverage(
     Raises:
         CoverageError: if ``head`` is not a clusterhead.
     """
-    if not structure.is_clusterhead(head):
+    # Membership in the cached head set is ``is_clusterhead`` without a
+    # method call per test (the loops below run millions of them).
+    heads = structure.clusterheads
+    head_of = structure.head_of
+    if head not in heads:
         raise CoverageError(f"node {head} is not a clusterhead")
     if view is None:
         view = structure.topology
@@ -77,7 +81,7 @@ def two_five_hop_coverage(
     # does send a CH_HOP1.)
     for v in view.neighbours(head):
         for ch in view.neighbours(v):
-            if not structure.is_clusterhead(ch) or ch == head:
+            if ch not in heads or ch == head:
                 continue
             c2.add(ch)
             direct.setdefault(ch, set()).add(v)
@@ -87,11 +91,12 @@ def two_five_hop_coverage(
     # C3(u): union of CH_HOP2(v) entries.  v's CH_HOP2 holds head(w)[w] for
     # each non-clusterhead neighbour w whose own head is not adjacent to v.
     for v in view.neighbours(head):
-        for w in view.neighbours(v):
-            if structure.is_clusterhead(w):
+        nv = view.neighbours(v)
+        for w in nv:
+            if w in heads:
                 continue  # CH_HOP1 of clusterheads does not exist
-            ch = structure.head_of[w]
-            if ch in view.neighbours(v):
+            ch = head_of[w]
+            if ch in nv:
                 continue  # v ignores entries whose head it already neighbours
             if ch == head:
                 continue  # defensive; implied by the previous test since v ~ head

@@ -194,14 +194,14 @@ def _fig6_metrics(net: Network, clustering: ClusterStructure,
                   source: NodeId) -> Mapping[str, float]:
     """Average CDS sizes (source unused: the CDSs are source-independent)."""
     del source
+    static3 = build_static_backbone(clustering, CoveragePolicy.THREE_HOP)
     return {
         STATIC_25: float(
             build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP).size
         ),
-        STATIC_3: float(
-            build_static_backbone(clustering, CoveragePolicy.THREE_HOP).size
-        ),
-        MO_CDS: float(build_mo_cds(clustering).size),
+        STATIC_3: float(static3.size),
+        # MO_CDS runs on the same 3-hop coverage sets: reuse them.
+        MO_CDS: float(build_mo_cds(clustering, static3.coverage_sets).size),
     }
 
 
@@ -229,15 +229,15 @@ def run_fig6(
 def _fig7_metrics(net: Network, clustering: ClusterStructure,
                   source: NodeId) -> Mapping[str, float]:
     """Forward-node-set sizes: dynamic backbone vs broadcasting on MO_CDS."""
+    mo = build_mo_cds(clustering)
     dyn25 = broadcast_sd(
         clustering, source, policy=CoveragePolicy.TWO_FIVE_HOP,
         pruning=PruningLevel.FULL,
     )
     dyn3 = broadcast_sd(
         clustering, source, policy=CoveragePolicy.THREE_HOP,
-        pruning=PruningLevel.FULL,
+        pruning=PruningLevel.FULL, coverage_sets=mo.coverage_sets,
     )
-    mo = build_mo_cds(clustering)
     mo_bc = broadcast_si(net.graph, mo, source)
     return {
         DYNAMIC_25: float(dyn25.result.num_forward_nodes),
@@ -268,13 +268,14 @@ def _fig8_metrics(net: Network, clustering: ClusterStructure,
     """Forward-node-set sizes: static vs dynamic backbones, both policies."""
     static25 = build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP)
     static3 = build_static_backbone(clustering, CoveragePolicy.THREE_HOP)
+    # The dynamic backbone selects over the same coverage sets: reuse them.
     dyn25 = broadcast_sd(
         clustering, source, policy=CoveragePolicy.TWO_FIVE_HOP,
-        pruning=PruningLevel.FULL,
+        pruning=PruningLevel.FULL, coverage_sets=static25.coverage_sets,
     )
     dyn3 = broadcast_sd(
         clustering, source, policy=CoveragePolicy.THREE_HOP,
-        pruning=PruningLevel.FULL,
+        pruning=PruningLevel.FULL, coverage_sets=static3.coverage_sets,
     )
     return {
         STATIC_25: float(broadcast_si(net.graph, static25, source).num_forward_nodes),
@@ -304,11 +305,11 @@ def run_fig8(
 def _flooding_metrics(net: Network, clustering: ClusterStructure,
                       source: NodeId) -> Mapping[str, float]:
     """Extension: blind flooding vs the paper's schemes (broadcast storm)."""
+    static25 = build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP)
     dyn25 = broadcast_sd(
         clustering, source, policy=CoveragePolicy.TWO_FIVE_HOP,
-        pruning=PruningLevel.FULL,
+        pruning=PruningLevel.FULL, coverage_sets=static25.coverage_sets,
     )
-    static25 = build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP)
     return {
         FLOODING: float(blind_flooding(net.graph, source).num_forward_nodes),
         STATIC_25: float(broadcast_si(net.graph, static25, source).num_forward_nodes),

@@ -1,11 +1,15 @@
 """Tests for the ClusterStructure data types."""
 
 import pytest
+from hypothesis import given, settings
 
+from repro.cluster.highest_degree import highest_degree_clustering
+from repro.cluster.lowest_id import lowest_id_clustering
 from repro.cluster.state import Cluster, ClusterStructure
 from repro.errors import ClusteringError, NodeNotFoundError
 from repro.graph.adjacency import Graph
 from repro.types import NodeRole
+from strategies import geometric_networks
 
 
 @pytest.fixture
@@ -68,3 +72,19 @@ class TestQueries:
     def test_cluster_size(self):
         c = Cluster(head=1, members=frozenset({2, 3}))
         assert c.size == 3
+
+
+class TestHeadMembership:
+    """The coverage and SD loops test ``v in structure.clusterheads`` in
+    place of ``structure.is_clusterhead(v)``; the two must agree."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(net=geometric_networks())
+    def test_membership_matches_is_clusterhead(self, net):
+        graph = net.graph
+        absent = (max(graph.nodes()) + 1, -1)
+        for clustering in (lowest_id_clustering, highest_degree_clustering):
+            structure = clustering(graph)
+            heads = structure.clusterheads
+            for v in list(graph.nodes()) + list(absent):
+                assert structure.is_clusterhead(v) == (v in heads)

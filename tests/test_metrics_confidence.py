@@ -7,13 +7,53 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError, SampleBudgetExceededError
+from repro.metrics import confidence as confidence_module
 from repro.metrics.confidence import (
     ConfidenceInterval,
     SequentialEstimator,
     confidence_interval,
     inverse_normal_cdf,
+    t_cdf,
     t_quantile,
 )
+from repro.workload.config import PaperEnvironment
+from repro.workload.experiments import run_fig6
+
+
+def frozen_t_quantile(p: float, dof: int) -> float:
+    """``t_quantile`` as it was before memoisation: always 80 steps."""
+    if p == 0.5:
+        return 0.0
+    z = inverse_normal_cdf(p)
+    if z > 0:
+        lo, hi = 0.0, max(2.0 * z, 2.0)
+        while t_cdf(hi, dof) < p:
+            hi *= 2.0
+            if hi > 1e12:
+                break
+    else:
+        hi, lo = 0.0, min(2.0 * z, -2.0)
+        while t_cdf(lo, dof) > p:
+            lo *= 2.0
+            if lo < -1e12:
+                break
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if t_cdf(mid, dof) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+#: Every small dof, then a geometric ladder up to 100k.
+_GRID_DOFS = sorted(set(range(1, 41)) | {
+    int(round(40 * 1.25 ** k)) for k in range(1, 36)
+} | {100_000})
+#: Both tails of five confidence levels (the stopping rule asks for the
+#: upper one).
+_GRID_PS = sorted({0.5 + c / 2.0 for c in (0.8, 0.9, 0.95, 0.99, 0.999)}
+                  | {0.5 - c / 2.0 for c in (0.8, 0.9, 0.95, 0.99, 0.999)})
 
 
 class TestInverseNormal:
@@ -46,6 +86,41 @@ class TestTQuantile:
     def test_bad_dof(self):
         with pytest.raises(ConfigurationError):
             t_quantile(0.95, 0)
+
+
+class TestTQuantileMemo:
+    def test_bit_identical_to_full_bisection(self):
+        assert _GRID_DOFS[-1] >= 100_000
+        t_quantile.cache_clear()
+        for p in _GRID_PS:
+            for dof in _GRID_DOFS:
+                assert t_quantile(p, dof) == frozen_t_quantile(p, dof), (p, dof)
+                # A cache hit returns the same value.
+                assert t_quantile(p, dof) == frozen_t_quantile(p, dof), (p, dof)
+
+    @pytest.mark.parametrize("p,dof", [(0.95, 0), (1.0, 5), (0.0, 5)])
+    def test_invalid_input_raises_every_call(self, p, dof):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                t_quantile(p, dof)
+
+    def test_one_miss_per_distinct_dof(self, monkeypatch):
+        seen = []
+
+        def spy(p, dof):
+            seen.append((p, dof))
+            return t_quantile(p, dof)
+
+        monkeypatch.setattr(confidence_module, "t_quantile", spy)
+        t_quantile.cache_clear()
+        env = PaperEnvironment.paper().scaled(
+            ns=(20, 40), degrees=(6.0,), min_samples=4, max_samples=12,
+            target=0.2,
+        )
+        run_fig6(env)
+        assert {p for p, _ in seen} == {0.995}
+        assert len(seen) > len(set(seen))  # repeats were served from memo
+        assert t_quantile.cache_info().misses == len({dof for _, dof in seen})
 
 
 class TestConfidenceInterval:

@@ -57,7 +57,10 @@ def public_members(module):
     out = []
     for name in names:
         obj = getattr(module, name, None)
-        if obj is None or not (inspect.isclass(obj) or inspect.isfunction(obj)):
+        # unwrap: a decorated function (e.g. functools.lru_cache) is still
+        # a function of the API.
+        if obj is None or not (inspect.isclass(obj)
+                               or inspect.isfunction(inspect.unwrap(obj))):
             continue
         defined_in = getattr(obj, "__module__", "")
         if not defined_in.startswith("repro"):
