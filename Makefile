@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper bench-topology bench-faults bench-channel bench-broadcast bench-mobility bench-parallel bench-serve perfbench-selftest chaos serve-chaos figures examples lint clean
+.PHONY: install test bench bench-paper bench-faults bench-channel bench-broadcast bench-mobility bench-parallel bench-serve perfbench-selftest chaos serve-chaos figures examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -18,9 +18,6 @@ bench:
 
 bench-paper:
 	REPRO_BENCH_FIDELITY=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-bench-topology:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_topology_cache.py
 
 bench-faults:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fault_sweep.py

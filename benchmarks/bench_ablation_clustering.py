@@ -3,8 +3,7 @@
 The backbone construction only needs *some* independent dominating head set;
 the paper uses lowest-ID.  Highest-degree election produces fewer, larger
 clusters in dense networks — this bench measures how that propagates to
-backbone size and dynamic forward counts, plus the incremental-repair
-locality of the lowest-ID structure under link churn.
+backbone size and dynamic forward counts.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.broadcast.sd_cds import broadcast_sd
 from repro.cluster.highest_degree import highest_degree_clustering
 from repro.cluster.lowest_id import lowest_id_clustering
 from repro.graph.generators import random_geometric_network
-from repro.maintenance.incremental import IncrementalLowestIdClustering
 
 SCENARIOS = [(60, 6.0), (60, 18.0)]
 
@@ -63,28 +61,3 @@ def test_clustering_electorate(benchmark):
         assert hi["cds"] <= lo["cds"] + 0.5
         assert hi["cds"] >= 0.5 * lo["cds"]
 
-
-@pytest.mark.benchmark(group="ablation-clustering")
-def test_incremental_repair_locality(benchmark):
-    """Locality of lowest-ID repair: mean nodes touched per link event."""
-
-    def measure_locality():
-        net = random_geometric_network(100, 10.0, rng=17)
-        inc = IncrementalLowestIdClustering(net.graph)
-        rng = np.random.default_rng(18)
-        nodes = net.graph.nodes()
-        touched = []
-        for _ in range(200):
-            u, v = (int(x) for x in rng.choice(nodes, 2, replace=False))
-            if inc.graph.has_edge(u, v):
-                s = inc.remove_edge(u, v)
-            else:
-                s = inc.add_edge(u, v)
-            touched.append(s.touched)
-        return touched
-
-    touched = benchmark.pedantic(measure_locality, rounds=1, iterations=1)
-    mean = float(np.mean(touched))
-    print(f"\nincremental repair: mean {mean:.2f} nodes touched per link "
-          f"event (n=100), max {max(touched)}")
-    assert mean < 10.0  # repairs are local, not global

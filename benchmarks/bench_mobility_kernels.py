@@ -1,25 +1,20 @@
 """Mobility maintenance kernel benchmark with an equivalence + regression gate.
 
-Measures per-tick backbone maintenance at n=2000 three ways:
+Measures per-tick backbone maintenance at n=2000 two ways:
 
 * **kernel** — the array-native :class:`KernelMobilitySession` driven
   directly (what :class:`MobilitySession` dispatches to above the CSR
   cutover, and what the 100k workload runs): vectorised stepping with
   incremental grid re-binning, CSR edge-delta application and masked
   repair of exactly the dirty heads;
-* **incremental** — the object-layer maintenance path
-  (``MobilitySession(incremental=True)``): per-node dict/set repair of
-  clustering, coverage caches and selections.  This is the
-  apples-to-apples *maintenance vs maintenance* reference and the basis
-  of the reported speedup;
 * **rebuild** — the object layer's full per-tick rebuild
-  (``MobilitySession()``): unit-disk reconstruction plus from-scratch
-  clustering and backbone derivation, reported for context.
+  (``MobilitySession(kernel=False)``): unit-disk reconstruction plus
+  from-scratch clustering and backbone derivation.
 
 The routes alternate inside one process, best-of-``--reps`` each, so
-machine-load drift hits all sides equally — the speedup is the honest
+machine-load drift hits both sides equally — the speedup is the honest
 ratio, not an artefact of when each side ran.  Before any timing, a small
-session is checked **bit-identical** tick-for-tick against the reference
+session is checked **bit-identical** tick-for-tick against the rebuild
 (structures, backbones, churn); the bench refuses to report a speedup for
 kernels that do not reproduce the reference numbers.
 
@@ -75,12 +70,11 @@ def _geometry(n: int, degree: float, seed: int):
     return pts, radius, area, model
 
 
-def _object_session(n: int, degree: float, seed: int,
-                    incremental: bool) -> MobilitySession:
-    """An object-layer session: full rebuild or incremental repair."""
+def _rebuild_session(n: int, degree: float, seed: int) -> MobilitySession:
+    """The object layer's from-scratch rebuild session."""
     pts, radius, area, model = _geometry(n, degree, seed)
     net = Network.from_positions(pts, radius, area=area)
-    return MobilitySession(net, model, incremental=incremental, kernel=False)
+    return MobilitySession(net, model, kernel=False)
 
 
 def _kernel_session(n: int, degree: float, seed: int) -> KernelMobilitySession:
@@ -131,15 +125,13 @@ def _time_ticks(session, ticks: int) -> float:
 def run_bench(*, n: int = 2000, degree: float = 12.0, seed: int = 11,
               ticks: int = 4, reps: int = 4,
               with_reference: bool = True) -> dict:
-    """Interleaved best-of-``reps`` kernel vs object maintenance timing."""
+    """Interleaved best-of-``reps`` kernel vs object rebuild timing."""
     check_equivalence(degree=degree)
-    kernel_best = incr_best = rebuild_best = float("inf")
+    kernel_best = rebuild_best = float("inf")
     for _ in range(reps):
         if with_reference:
-            incr_best = min(incr_best, _time_ticks(
-                _object_session(n, degree, seed, incremental=True), ticks))
             rebuild_best = min(rebuild_best, _time_ticks(
-                _object_session(n, degree, seed, incremental=False), ticks))
+                _rebuild_session(n, degree, seed), ticks))
         kernel_best = min(kernel_best,
                           _time_ticks(_kernel_session(n, degree, seed), ticks))
     summary = {
@@ -153,11 +145,8 @@ def run_bench(*, n: int = 2000, degree: float = 12.0, seed: int = 11,
         "kernel_ticks_per_sec": round(ticks / kernel_best, 2),
     }
     if with_reference:
-        summary["incremental_seconds"] = round(incr_best, 4)
-        summary["incremental_ticks_per_sec"] = round(ticks / incr_best, 2)
         summary["rebuild_seconds"] = round(rebuild_best, 4)
         summary["rebuild_ticks_per_sec"] = round(ticks / rebuild_best, 2)
-        summary["speedup"] = round(incr_best / kernel_best, 2)
         summary["speedup_vs_rebuild"] = round(rebuild_best / kernel_best, 2)
     return summary
 
@@ -210,14 +199,11 @@ def main(argv=None) -> int:
               f"equivalence checked)")
         print(f"  kernel       {summary['kernel_seconds']:>8.4f}s "
               f"({summary['kernel_ticks_per_sec']:.2f} ticks/s)")
-        if "speedup" in summary:
-            print(f"  incremental  {summary['incremental_seconds']:>8.4f}s "
-                  f"({summary['incremental_ticks_per_sec']:.2f} ticks/s)")
+        if "speedup_vs_rebuild" in summary:
             print(f"  rebuild      {summary['rebuild_seconds']:>8.4f}s "
                   f"({summary['rebuild_ticks_per_sec']:.2f} ticks/s)")
-            print(f"  speedup      {summary['speedup']:.2f}x vs incremental "
-                  f"maintenance ({summary['speedup_vs_rebuild']:.2f}x vs "
-                  f"full rebuild)")
+            print(f"  speedup      {summary['speedup_vs_rebuild']:.2f}x vs "
+                  f"full rebuild")
     if args.gate:
         try:
             check_gate(summary, args.bench_file)

@@ -60,7 +60,7 @@ from repro.coverage import (
 )
 from repro.errors import ReproError
 from repro.geometry import Area
-from repro.topology import CoverageIndex, TopologyView, as_view
+from repro.topology import TopologyView, as_view
 from repro.graph import (
     Graph,
     Network,
@@ -93,7 +93,6 @@ __all__ = [
     "cluster_graph_is_strongly_connected",
     # topology
     "TopologyView",
-    "CoverageIndex",
     "as_view",
     # coverage
     "CoverageSet",

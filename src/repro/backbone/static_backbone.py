@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional
+from typing import FrozenSet, Mapping, Optional
 
 from repro import perf
 from repro.backbone.gateway_selection import (
@@ -26,9 +26,6 @@ from repro.coverage.policy import (
 )
 from repro.graph.csr import CSR_CUTOVER
 from repro.types import CoveragePolicy, NodeId
-
-if TYPE_CHECKING:
-    from repro.topology.coverage_index import CoverageIndex
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,6 @@ def build_static_backbone(
     structure: ClusterStructure,
     policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
     coverage_sets: Optional[Mapping[NodeId, CoverageSet]] = None,
-    *,
-    index: Optional["CoverageIndex"] = None,
 ) -> Backbone:
     """Build the cluster-based SI-CDS backbone.
 
@@ -86,35 +81,10 @@ def build_static_backbone(
         policy: 2.5-hop (paper default for the cheaper maintenance) or 3-hop.
         coverage_sets: Reuse pre-computed coverage sets (must match
             ``policy``); computed when omitted.
-        index: A :class:`~repro.topology.coverage_index.CoverageIndex` to
-            pull per-head coverage sets *and* gateway selections from.  Under
-            an edge-event stream only dirty heads are recomputed, which is
-            what makes incremental backbone maintenance cheap; the result is
-            identical to a from-scratch build.  The index's policy must
-            match ``policy``; mutually exclusive with ``coverage_sets``.
 
     Returns:
         The static :class:`Backbone`.
     """
-    if index is not None:
-        if coverage_sets is not None:
-            raise ValueError("pass either coverage_sets or index, not both")
-        if index.policy is not policy:
-            raise ValueError(
-                f"index policy {index.policy.label} does not match "
-                f"requested policy {policy.label}"
-            )
-        coverage_sets = index.all_coverage_sets(structure)
-        selections: Dict[NodeId, GatewaySelection] = dict(
-            index.all_selections(structure)
-        )
-        return Backbone(
-            structure=structure,
-            policy=policy,
-            coverage_sets=dict(coverage_sets),
-            selections=selections,
-            algorithm=f"static-backbone[{policy.label}]",
-        )
     if coverage_sets is None and len(structure.graph) >= CSR_CUTOVER:
         # Batched CSR path: one vectorised coverage pass and one lock-step
         # greedy selection for all heads; materialised results are

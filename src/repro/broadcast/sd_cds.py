@@ -40,7 +40,6 @@ from repro.errors import BroadcastError, NodeNotFoundError
 from repro.types import CoveragePolicy, NodeId, PruningLevel
 
 if TYPE_CHECKING:
-    from repro.topology.coverage_index import CoverageIndex
     from repro.topology.view import TopologyView
 
 
@@ -115,7 +114,6 @@ def broadcast_sd(
     pruning: PruningLevel = PruningLevel.FULL,
     coverage_sets: Optional[Mapping[NodeId, CoverageSet]] = None,
     view: Optional["TopologyView"] = None,
-    index: Optional["CoverageIndex"] = None,
 ) -> DynamicBroadcast:
     """Run one dynamic-backbone broadcast.
 
@@ -129,9 +127,6 @@ def broadcast_sd(
         view: Shared topology view serving the propagation loop's neighbour
             queries (defaults to the structure's own view, so repeated
             broadcasts over one clustering share the memoized answers).
-        index: A coverage index to pull per-head coverage sets from instead
-            of recomputing them (its policy must match ``policy``; mutually
-            exclusive with ``coverage_sets``).
 
     Returns:
         A :class:`DynamicBroadcast`.
@@ -141,15 +136,6 @@ def broadcast_sd(
         raise NodeNotFoundError(source)
     if view is None:
         view = structure.topology
-    if index is not None:
-        if coverage_sets is not None:
-            raise ValueError("pass either coverage_sets or index, not both")
-        if index.policy is not policy:
-            raise ValueError(
-                f"index policy {index.policy.label} does not match "
-                f"requested policy {policy.label}"
-            )
-        coverage_sets = index.all_coverage_sets(structure)
     if coverage_sets is None:
         coverage_sets = compute_all_coverage_sets(structure, policy, view=view)
 

@@ -66,8 +66,8 @@ def compute_all_coverage_sets(
     """Coverage sets for every clusterhead, keyed by head id.
 
     All heads share one :class:`~repro.topology.view.TopologyView` (the
-    given one, or the structure's), so neighbour frozensets and BFS
-    frontiers computed for one head are reused by the others.
+    given one, or the structure's), so neighbour frozensets and bounded
+    BFS distances computed for one head are reused by the others.
 
     At ``n >= CSR_CUTOVER`` (and no caller-supplied view) the per-head set
     walks are replaced by the batched CSR kernels plus materialisation —

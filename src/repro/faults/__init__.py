@@ -9,8 +9,8 @@ The subsystem has three parts, meant to be used together:
   medium's :class:`~repro.sim.medium.FaultHook` queries without ever
   mutating the unit-disk :class:`~repro.graph.adjacency.Graph`;
 * :mod:`repro.faults.reliable` — ACK/retransmit broadcast over the SI/SD
-  backbone plans, with clusterhead-failure fallback through the
-  incremental topology machinery.
+  backbone plans, with a clusterhead-failure fallback that rebuilds the
+  static backbone from scratch on the surviving topology.
 """
 
 from repro.faults.injector import FaultInjector, assert_graph_untouched

@@ -14,13 +14,10 @@ retransmission layer:
   run is bit-reproducible;
 * a neighbour still silent after the whole budget is *presumed dead*.  With
   a :class:`BackboneFallback` attached, the dead node is removed from a
-  private topology copy through the PR-1 machinery — an
-  :class:`~repro.maintenance.incremental.IncrementalLowestIdClustering`
-  whose :class:`~repro.topology.view.TopologyView` dirties only the ≤3-hop
-  ball, and a :class:`~repro.topology.coverage_index.CoverageIndex` that
-  re-runs gateway selection for exactly the dirtied heads — and the repaired
-  backbone's nodes are promoted to relays mid-broadcast (a crashed
-  clusterhead's duties fall to the survivors' new selection).
+  private topology copy, the static backbone is rebuilt from scratch on
+  what remains, and the rebuilt backbone's nodes are promoted to relays
+  mid-broadcast (a crashed clusterhead's duties fall to the survivors' new
+  selection).
 
 The simulated network's graph is never touched; the fallback mutates only
 its own copy.
@@ -34,15 +31,14 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from repro.backbone.static_backbone import build_static_backbone
 from repro.broadcast.result import BroadcastResult
 from repro.broadcast.sd_cds import broadcast_sd
+from repro.cluster.lowest_id import lowest_id_clustering
 from repro.cluster.state import ClusterStructure
 from repro.errors import BroadcastError, NodeNotFoundError
 from repro.faults.injector import FaultInjector
 from repro.graph.adjacency import Graph
-from repro.maintenance.incremental import IncrementalLowestIdClustering
 from repro.sim.messages import Message
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimNode
-from repro.topology.coverage_index import CoverageIndex
 from repro.types import CoveragePolicy, NodeId
 
 
@@ -69,30 +65,24 @@ class ReliableAck(Message):
 
 
 class BackboneFallback:
-    """Re-derive the relay set after node failures, incrementally.
+    """Re-derive the relay set after node failures, from scratch.
 
-    Holds a private :class:`IncrementalLowestIdClustering` (which copies the
-    graph) plus a :class:`CoverageIndex` over its shared
-    :class:`~repro.topology.view.TopologyView`.  Reporting a failed node
-    strips its incident edges one by one — each repair dirties only the
-    local ball and feeds ``invalidate_roles`` — then rebuilds the static
-    backbone through the index, recomputing coverage sets and gateway
-    selections for the dirtied heads only.
+    Keeps a private copy of the graph and the set of nodes reported dead.
+    Each failure report strips the newly dead nodes' edges from the copy and
+    rebuilds the static backbone on a fresh lowest-ID clustering of it.  At
+    the sizes a simulated broadcast runs, the rebuild is cheaper than any
+    incremental repair (see ``docs/performance.md``).
 
     Args:
         graph: The pre-fault topology (copied; never mutated by reference).
-        policy: Coverage policy of the repaired backbone.
+        policy: Coverage policy of the rebuilt backbone.
     """
 
     def __init__(self, graph: Graph,
                  policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP) -> None:
-        self._clustering = IncrementalLowestIdClustering(graph)
-        self._index = CoverageIndex(self._clustering.view, policy)
+        self._graph = graph.copy()
         self._policy = policy
         self._removed: Set[NodeId] = set()
-        # Warm the caches so mid-broadcast repairs only pay for dirty heads.
-        build_static_backbone(self._clustering.structure(), policy,
-                              index=self._index)
 
     @property
     def removed(self) -> FrozenSet[NodeId]:
@@ -106,20 +96,21 @@ class BackboneFallback:
 
         The returned set excludes every node ever reported dead (a removed
         node ends up isolated and would otherwise elect itself head).
+
+        Raises:
+            NodeNotFoundError: Some id in ``dead`` is not in the graph; the
+                fallback is left exactly as it was before the call.
         """
-        role_changed: Set[NodeId] = set()
-        for d in sorted(set(dead)):
-            if d in self._removed:
-                continue
-            if d not in self._clustering.graph:
+        fresh = sorted(set(dead) - self._removed)
+        for d in fresh:
+            if d not in self._graph:
                 raise NodeNotFoundError(d)
+        for d in fresh:
             self._removed.add(d)
-            for w in sorted(self._clustering.graph.neighbours_view(d)):
-                role_changed |= self._clustering.remove_edge(d, w).role_changes
-        if role_changed:
-            self._index.invalidate_roles(role_changed)
+            for w in sorted(self._graph.neighbours_view(d)):
+                self._graph.remove_edge(d, w)
         backbone = build_static_backbone(
-            self._clustering.structure(), self._policy, index=self._index
+            lowest_id_clustering(self._graph), self._policy
         )
         return frozenset(backbone.nodes) - frozenset(self._removed)
 

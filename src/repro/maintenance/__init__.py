@@ -15,10 +15,6 @@ from repro.maintenance.stability import (
     backbone_churn,
     cluster_churn,
 )
-from repro.maintenance.incremental import (
-    IncrementalLowestIdClustering,
-    RepairSummary,
-)
 from repro.maintenance.kernels import KernelMobilitySession, KernelTickReport
 from repro.maintenance.live import LiveEpochReport, LiveMaintenanceSession
 from repro.maintenance.session import MaintenanceReport, MobilitySession
@@ -30,8 +26,6 @@ __all__ = [
     "backbone_churn",
     "MobilitySession",
     "MaintenanceReport",
-    "IncrementalLowestIdClustering",
-    "RepairSummary",
     "KernelMobilitySession",
     "KernelTickReport",
     "LiveMaintenanceSession",

@@ -1,10 +1,9 @@
 """Array-native mobility maintenance: the per-tick kernel session.
 
 The object-layer :class:`~repro.maintenance.session.MobilitySession`
-re-derives the backbone each tick through dict/set repairs — per-event
-heap worklists and a per-head coverage cache.  That is fine at paper
-scale and unusable at n >= 10k.  This module runs the same per-tick
-pipeline entirely on arrays:
+(``kernel=False``) re-derives the backbone each tick from scratch over
+dict/set graphs.  That is fine at paper scale and unusable at n >= 10k.
+This module runs the same per-tick pipeline entirely on arrays:
 
 1. **step** — the mobility model advances all ``(n, 2)`` positions at
    once; an :class:`~repro.geometry.grid.IncrementalGrid` re-bins only
@@ -23,11 +22,11 @@ pipeline entirely on arrays:
    spliced into the retained witness/connector tables.
 
 Every tick's clustering, coverage sets and selections are bit-identical
-to the object-layer session (property-tested in
-``tests/test_mobility_kernels.py``); only the work done is local.  The
-torus geometry keeps the exact semantics through a dense distance diff
-(the same fallback the static builder uses), so the kernels stay valid
-for bordered *and* wrapped areas.
+to the from-scratch oracle ``MobilitySession(kernel=False)``
+(property-tested in ``tests/test_mobility_kernels.py``); only the work
+done is local.  The torus geometry keeps the exact semantics through a
+dense distance diff (the same fallback the static builder uses), so the
+kernels stay valid for bordered *and* wrapped areas.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from repro.graph.csr import (
     sorted_unique,
 )
 from repro.graph.network import Network
-from repro.maintenance.incremental import RepairSummary
 from repro.types import CoveragePolicy, NodeId
 
 
@@ -214,13 +212,15 @@ class KernelMobilitySession:
     positions, adjacency, head assignment, witness tables and connector
     tables as arrays between ticks and repairs all of them per tick; the
     materialising accessors (:meth:`network`, :meth:`structure`,
-    :meth:`backbone`) bridge back to the object layer on demand.
+    :meth:`backbone`) bridge back to the object layer on demand.  Every
+    tick is bit-identical to the from-scratch oracle
+    ``MobilitySession(kernel=False)`` driven by the same model.
 
     Args:
         positions: ``(n, 2)`` initial positions, row ``i`` for ``ids[i]``.
         radius: Unit-disk transmission range.
         mobility: The movement model (stepped in ascending-id row order,
-            exactly like the object session).
+            exactly like ``MobilitySession(kernel=False)``).
         ids: Node id per position row (default ``0..n-1``).
         area: Working space (defaults to the mobility model's area).
         torus: Wrap distances around ``area``.
@@ -286,7 +286,6 @@ class KernelMobilitySession:
             None if self.torus else IncrementalGrid(pts, self.radius)
         )
         empty = np.empty(0, dtype=np.int64)
-        self._last_reevaluated = empty
         self._last_flipped = empty
         self._last_reassigned = empty
         self._last_gained = empty
@@ -524,7 +523,6 @@ class KernelMobilitySession:
         # views of small arrays).
         self._last_flipped = flipped
         self._last_reassigned = reassigned
-        self._last_reevaluated = reevaluated
         self._last_gained = gained
         self._last_lost = lost
         self._last_resignal = resignal
@@ -594,21 +592,6 @@ class KernelMobilitySession:
 
     # -- materialisation ---------------------------------------------------
 
-    def repair_summary(self) -> RepairSummary:
-        """The last tick's repair as an object-layer
-        :class:`~repro.maintenance.incremental.RepairSummary` (node ids).
-
-        ``reevaluated`` is the kernel's affected ball — its own locality
-        measure, not the per-event heap's; ``flipped``/``reassigned``
-        match the object session's *net* per-tick role changes exactly.
-        """
-        ids = self._csr.ids
-        return RepairSummary(
-            reevaluated=frozenset(ids[self._last_reevaluated].tolist()),
-            flipped=frozenset(ids[self._last_flipped].tolist()),
-            reassigned=frozenset(ids[self._last_reassigned].tolist()),
-        )
-
     def network(self) -> Network:
         """The current snapshot as a :class:`~repro.graph.network.Network`."""
         ids = self._csr.ids.tolist()
@@ -631,7 +614,7 @@ class KernelMobilitySession:
     def backbone(
         self, structure: Optional[ClusterStructure] = None
     ) -> Backbone:
-        """The current backbone, bit-identical to the object-layer build."""
+        """The current backbone, bit-identical to a from-scratch build."""
         if structure is None:
             structure = self.structure()
         batch = BatchGatewaySelection(

@@ -23,14 +23,12 @@ from repro.geometry.mobility import MobilityModel
 from repro.graph.connectivity import is_connected
 from repro.graph.csr import CSR_CUTOVER
 from repro.graph.network import Network
-from repro.maintenance.incremental import IncrementalLowestIdClustering
 from repro.maintenance.stability import (
     BackboneChurn,
     ClusterChurn,
     backbone_churn,
     cluster_churn,
 )
-from repro.topology.coverage_index import CoverageIndex
 from repro.types import CoveragePolicy
 
 
@@ -69,23 +67,14 @@ class MobilitySession:
         network: Initial snapshot.
         mobility: The movement model (steps the position array).
         policy: Coverage policy for the maintained static backbone.
-        incremental: Maintain clustering and coverage sets incrementally.
-            Each tick's link changes are applied as single-edge repairs to
-            an :class:`~repro.maintenance.incremental.IncrementalLowestIdClustering`
-            whose shared :class:`~repro.topology.view.TopologyView` dirties
-            only the ≤3-hop balls around the changed links; a
-            :class:`~repro.topology.coverage_index.CoverageIndex` then
-            recomputes only the dirty heads.  The per-tick structures and
-            backbones are identical to the from-scratch path (property
-            tested) — only the work done differs.
         kernel: Run the per-tick maintenance through the array-native
             :class:`~repro.maintenance.kernels.KernelMobilitySession`
             (incremental grid re-binning, CSR edge-delta repair, masked
             coverage/selection recompute), materialising the same
             per-tick networks, structures, backbones and churn reports.
             ``None`` (the default) auto-enables it above the CSR cutover
-            for the 2.5-hop policy; when active it supersedes
-            ``incremental`` and :attr:`coverage_index` stays ``None``.
+            for the 2.5-hop policy.  ``False`` forces the from-scratch
+            object-layer rebuild, the oracle the kernel is tested against.
     """
 
     def __init__(
@@ -94,7 +83,6 @@ class MobilitySession:
         mobility: MobilityModel,
         policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
         *,
-        incremental: bool = False,
         kernel: Optional[bool] = None,
     ) -> None:
         self.network = network
@@ -102,11 +90,6 @@ class MobilitySession:
         self.policy = policy
         self.time = 0.0
         self._ids = network.graph.nodes()
-        self.incremental = incremental
-        #: The coverage/selection cache driving the incremental path
-        #: (``None`` when ``incremental=False`` or the kernel is active).
-        self.coverage_index: Optional[CoverageIndex] = None
-        self._clustering: Optional[IncrementalLowestIdClustering] = None
         if kernel is None:
             kernel = (
                 network.num_nodes >= CSR_CUTOVER
@@ -129,40 +112,10 @@ class MobilitySession:
             )
             self.structure = self._kernel_session.structure(network=network)
             self.backbone = self._kernel_session.backbone(self.structure)
-        elif incremental:
-            self._clustering = IncrementalLowestIdClustering(network.graph)
-            self.coverage_index = CoverageIndex(self._clustering.view, policy)
-            self.structure = self._clustering.structure(graph=network.graph)
-            self.backbone = build_static_backbone(
-                self.structure, policy, index=self.coverage_index
-            )
         else:
             self.structure = lowest_id_clustering(network.graph)
             self.backbone = build_static_backbone(self.structure, policy)
         self.history: List[MaintenanceReport] = []
-
-    def _rederive(self) -> None:
-        """Recompute structure and backbone for the current network."""
-        if self._clustering is None:
-            self.structure = lowest_id_clustering(self.network.graph)
-            self.backbone = build_static_backbone(self.structure, self.policy)
-            return
-        assert self.coverage_index is not None
-        old_edges = set(self._clustering.graph.edges())
-        new_edges = set(self.network.graph.edges())
-        role_changed: set = set()
-        for u, v in old_edges - new_edges:
-            role_changed |= self._clustering.remove_edge(u, v).role_changes
-        for u, v in new_edges - old_edges:
-            role_changed |= self._clustering.add_edge(u, v).role_changes
-        # Deferring role invalidation to after the whole batch is safe: a
-        # head whose ball shrank away from a changed node in the meantime
-        # was dirtied by the shrinking edge event itself.
-        self.coverage_index.invalidate_roles(role_changed)
-        self.structure = self._clustering.structure(graph=self.network.graph)
-        self.backbone = build_static_backbone(
-            self.structure, self.policy, index=self.coverage_index
-        )
 
     def step(self, dt: float = 1.0) -> MaintenanceReport:
         """Advance the session by ``dt`` and rebuild all structures.
@@ -180,7 +133,8 @@ class MobilitySession:
         moved = self.mobility.step(positions, dt)
         self.network = old_network.moved(moved, order=self._ids)
         self.time += dt
-        self._rederive()
+        self.structure = lowest_id_clustering(self.network.graph)
+        self.backbone = build_static_backbone(self.structure, self.policy)
         old_edges = set(old_network.graph.edges())
         new_edges = set(self.network.graph.edges())
         report = MaintenanceReport(

@@ -1,34 +1,24 @@
-"""Shared, invalidation-aware topology index (the library's query plane).
+"""Shared, read-only topology queries (the library's query plane).
 
-The paper's protocols — lowest-ID clustering, 2.5/3-hop coverage sets,
-greedy gateway selection, SI/SD-CDS broadcasting — all consume the same
-family of neighbourhood queries.  This package serves them once:
+The paper's protocols — 2.5/3-hop coverage sets, greedy gateway selection,
+SI/SD-CDS broadcasting, MPR — all consume the same family of neighbourhood
+queries.  This package serves them once:
 
 * :class:`~repro.topology.view.TopologyView` memoizes neighbour frozensets,
-  ``N²(u)``, bounded BFS frontiers (depth ≤ 3), and common-neighbour
-  intersections over a shared graph, with generation-counter invalidation
-  that dirties only the ≤3-hop ball around a mutated edge;
-* :class:`~repro.topology.coverage_index.CoverageIndex` caches per-head
-  :class:`~repro.coverage.entries.CoverageSet`\\ s and gateway selections
-  keyed on the view's per-node epochs, so maintenance under mobility only
-  rebuilds the heads whose neighbourhood actually changed;
+  sorted neighbour tuples, bounded BFS distances (depth ≤ 3) and
+  common-neighbour intersections over a graph that does not change; each
+  :class:`~repro.cluster.state.ClusterStructure` shares one across every
+  coverage set, selection and broadcast computed over it;
 * :func:`~repro.topology.view.as_view` adapts a plain
-  :class:`~repro.graph.adjacency.Graph` so every pre-existing public
-  signature keeps working.
+  :class:`~repro.graph.adjacency.Graph` so every public signature that
+  takes a graph keeps working.
 """
 
-from repro.topology.coverage_index import CoverageIndex
-from repro.topology.view import (
-    INVALIDATION_RADIUS,
-    TopologyLike,
-    TopologyView,
-    as_view,
-)
+from repro.topology.view import MAX_DEPTH, TopologyLike, TopologyView, as_view
 
 __all__ = [
     "TopologyView",
     "TopologyLike",
-    "CoverageIndex",
     "as_view",
-    "INVALIDATION_RADIUS",
+    "MAX_DEPTH",
 ]

@@ -1,187 +1,75 @@
-"""A memoized, invalidation-aware view over a :class:`~repro.graph.adjacency.Graph`.
+"""A read-only memo of neighbourhood queries over a :class:`~repro.graph.adjacency.Graph`.
 
-Every protocol layer in this library — clustering, coverage sets, gateway
-selection, SI/SD-CDS broadcasting, maintenance — is defined over the same
-small family of topology queries: ``N(u)``, ``N²(u)``, bounded-depth BFS
-frontiers, and common-neighbour intersections.  Historically each layer
-recomputed them from the raw adjacency sets; :class:`TopologyView` memoizes
-them once and shares the answers.
+Every protocol layer in this library — coverage sets, gateway selection,
+SI/SD-CDS broadcasting, MPR, maintenance accounting — is defined over the
+same small family of topology queries: ``N(u)``, bounded-depth BFS
+distances and common-neighbour intersections.  :class:`TopologyView`
+computes each answer once and shares it between the layers.
 
-The key design point is **locality of invalidation**.  All cached queries
-are bounded by :data:`INVALIDATION_RADIUS` hops (3 — the deepest query any
-of the paper's protocols needs).  If an edge ``{a, b}`` is inserted or
-removed, a node ``x``'s ≤3-hop view can only change when ``x`` has a path of
-length ≤ 3 through that edge; the prefix of such a path reaches ``a`` or
-``b`` in ≤ 2 hops *without using the edge itself*, so it exists both before
-and after the mutation.  Dirtying the 3-hop ball around ``{a, b}`` on the
-post-mutation graph therefore covers every node whose cached answers could
-have changed, and everything outside the ball stays valid.  A generation
-counter records when each node was last dirtied so dependents (e.g.
-:class:`~repro.topology.coverage_index.CoverageIndex`) can key their own
-caches on it.
+The view never invalidates: it is valid only while its graph does not
+change.  A :class:`~repro.cluster.state.ClusterStructure` owns one per
+clustering (its graph is immutable once clustered); code that mutates a
+topology builds a new structure, and with it a new view.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Tuple, Union
 
 from repro.errors import NodeNotFoundError
 from repro.graph.adjacency import Graph
 from repro.types import NodeId
 
-#: Hop radius of the dirty ball around a mutated edge, and the deepest
-#: bounded query the view will memoize.  3 covers every query the paper's
-#: protocols issue (coverage sets look at most 3 hops out).
-INVALIDATION_RADIUS = 3
+#: Deepest bounded BFS the view memoizes.  3 covers every query the
+#: paper's protocols issue (coverage sets look at most 3 hops out).
+MAX_DEPTH = 3
 
 #: Anything the refactored call sites accept where a topology is needed.
 TopologyLike = Union[Graph, "TopologyView"]
 
 
 class TopologyView:
-    """Memoized neighbourhood queries over a graph, with local invalidation.
+    """Memoized neighbourhood queries over a graph that does not change.
 
-    The view holds a *reference* to ``graph`` (no copy).  Two usage modes:
-
-    * **Owned mutation** — mutate the topology through :meth:`add_edge` /
-      :meth:`remove_edge`; the view updates the graph and dirties exactly
-      the ≤3-hop ball around the touched endpoints.
-    * **External mutation** — if the owner mutates the graph directly, it
-      must call :meth:`notify_edge` per toggled edge (or
-      :meth:`invalidate_all` after arbitrary surgery) before issuing further
-      queries.
+    The view holds a *reference* to ``graph`` (no copy); the caller must not
+    mutate the graph while the view is in use.  Every query returns the
+    cached object itself, so a repeated query returns the identical object.
 
     Args:
         graph: The topology to serve queries over (shared, not copied).
     """
 
-    __slots__ = (
-        "_graph", "_generation", "_node_epoch", "_node_epoch2",
-        "_nbr", "_sorted_nbr", "_closed", "_two_open", "_two_closed",
-        "_dist", "_common", "_pairs_of", "hits", "misses",
-    )
+    __slots__ = ("_graph", "_nbr", "_sorted_nbr", "_dist", "_common")
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._generation = 0
-        self._node_epoch: Dict[NodeId, int] = {}
-        self._node_epoch2: Dict[NodeId, int] = {}
         self._nbr: Dict[NodeId, FrozenSet[NodeId]] = {}
         self._sorted_nbr: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        self._closed: Dict[NodeId, FrozenSet[NodeId]] = {}
-        self._two_open: Dict[NodeId, FrozenSet[NodeId]] = {}
-        self._two_closed: Dict[NodeId, FrozenSet[NodeId]] = {}
         self._dist: Dict[NodeId, Dict[int, Dict[NodeId, int]]] = {}
         self._common: Dict[Tuple[NodeId, NodeId], FrozenSet[NodeId]] = {}
-        self._pairs_of: Dict[NodeId, Set[Tuple[NodeId, NodeId]]] = {}
-        #: Cache hits / misses across all query kinds (benchmark telemetry).
-        self.hits = 0
-        self.misses = 0
-
-    # -- identity ----------------------------------------------------------
 
     @property
     def graph(self) -> Graph:
-        """The underlying graph (mutate only via this view, or notify it)."""
+        """The underlying graph (must not be mutated while the view lives)."""
         return self._graph
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter, bumped once per invalidation event."""
-        return self._generation
-
-    def epoch(self, v: NodeId, *, radius: int = INVALIDATION_RADIUS) -> int:
-        """Generation at which ``v``'s ≤``radius``-hop view was last dirtied.
-
-        A dependent that recorded ``generation`` at compute time can check
-        staleness of anything derived from ``v``'s neighbourhood with a
-        single integer comparison (``epoch(v) <= recorded``).
-
-        Args:
-            v: The node whose epoch to read.
-            radius: ``3`` (default) tracks anything derived from ``v``'s
-                ≤3-hop view.  ``2`` is a tighter signal for artefacts that
-                read only *edges incident to nodes within 2 hops* of ``v``
-                — coverage sets are the canonical case: distance-3
-                information is discovered through depth-2 expansions, so an
-                edge mutation with both endpoints 3+ hops away can never
-                change the result.  The same surviving-prefix argument as
-                the module docstring's applies at radius 2: a ≤2-hop path
-                from an affected ``v`` to a mutated endpoint has a prefix
-                avoiding the mutated edge itself, so the post-mutation
-                2-hop ball covers every affected node.
-        """
-        if radius == INVALIDATION_RADIUS:
-            return self._node_epoch.get(v, 0)
-        if radius == 2:
-            return self._node_epoch2.get(v, 0)
-        raise ValueError(f"epoch radius must be 2 or 3, got {radius}")
-
-    # -- queries -----------------------------------------------------------
 
     def neighbours(self, v: NodeId) -> FrozenSet[NodeId]:
         """Memoized ``N(v)`` as a frozenset."""
         try:
-            self.hits += 1
             return self._nbr[v]
         except KeyError:
-            self.hits -= 1
-            self.misses += 1
-            out = frozenset(self._graph.neighbours_view(v))
-            self._nbr[v] = out
+            out = self._nbr[v] = frozenset(self._graph.neighbours_view(v))
             return out
 
     def sorted_neighbours(self, v: NodeId) -> Tuple[NodeId, ...]:
         """Memoized ``N(v)`` in ascending id order (deterministic loops)."""
         try:
-            self.hits += 1
             return self._sorted_nbr[v]
         except KeyError:
-            self.hits -= 1
-            self.misses += 1
-            out = tuple(sorted(self._graph.neighbours_view(v)))
-            self._sorted_nbr[v] = out
-            return out
-
-    def degree(self, v: NodeId) -> int:
-        """Degree of ``v`` (via the memoized neighbour set)."""
-        return len(self.neighbours(v))
-
-    def closed_neighbourhood(self, v: NodeId) -> FrozenSet[NodeId]:
-        """Memoized ``N(v) ∪ {v}`` (the paper's ``N^1(v)``)."""
-        try:
-            self.hits += 1
-            return self._closed[v]
-        except KeyError:
-            self.hits -= 1
-            self.misses += 1
-            out = self.neighbours(v) | {v}
-            self._closed[v] = out
-            return out
-
-    def two_hop(self, v: NodeId, *, closed: bool = True) -> FrozenSet[NodeId]:
-        """Memoized 2-hop neighbourhood of ``v``.
-
-        Args:
-            v: The centre node.
-            closed: ``True`` returns the paper's ``N²(v)`` — every node
-                within two hops *including* ``v``; ``False`` returns only
-                the nodes at distance exactly 2.
-        """
-        cache = self._two_closed if closed else self._two_open
-        try:
-            self.hits += 1
-            return cache[v]
-        except KeyError:
-            self.hits -= 1
-            self.misses += 1
-            dist = self.distances_within(v, 2)
-            if closed:
-                out = frozenset(dist)
-            else:
-                out = frozenset(x for x, d in dist.items() if d == 2)
-            cache[v] = out
+            out = self._sorted_nbr[v] = tuple(
+                sorted(self._graph.neighbours_view(v))
+            )
             return out
 
     def distances_within(self, v: NodeId, depth: int) -> Dict[NodeId, int]:
@@ -192,19 +80,13 @@ class TopologyView:
 
         Args:
             v: Source node.
-            depth: BFS bound; must be ``0 <= depth <= INVALIDATION_RADIUS``
-                (deeper answers could not be kept consistent by the local
-                invalidation rule).
+            depth: BFS bound; must be ``0 <= depth <= MAX_DEPTH``.
         """
-        if not 0 <= depth <= INVALIDATION_RADIUS:
-            raise ValueError(
-                f"depth must be in [0, {INVALIDATION_RADIUS}], got {depth}"
-            )
+        if not 0 <= depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         per_node = self._dist.get(v)
         if per_node is not None and depth in per_node:
-            self.hits += 1
             return per_node[depth]
-        self.misses += 1
         if v not in self._graph:
             raise NodeNotFoundError(v)
         dist: Dict[NodeId, int] = {v: 0}
@@ -221,168 +103,17 @@ class TopologyView:
         self._dist.setdefault(v, {})[depth] = dist
         return dist
 
-    def frontiers(self, v: NodeId, depth: int) -> Tuple[FrozenSet[NodeId], ...]:
-        """BFS rings around ``v``: element ``k`` holds nodes at distance ``k``.
-
-        ``frontiers(v, 3)[2]`` is the strict 2-hop frontier, etc.  Derived
-        from :meth:`distances_within`, so it shares that cache.
-        """
-        dist = self.distances_within(v, depth)
-        rings: List[Set[NodeId]] = [set() for _ in range(depth + 1)]
-        for x, d in dist.items():
-            rings[d].add(x)
-        return tuple(frozenset(r) for r in rings)
-
-    def ball(self, seeds: Iterable[NodeId],
-             radius: int = INVALIDATION_RADIUS) -> FrozenSet[NodeId]:
-        """All nodes within ``radius`` hops of any seed (plus the seeds).
-
-        Seeds no longer present in the graph contribute only themselves —
-        callers may pass endpoints of a just-removed edge safely.
-        """
-        out: Set[NodeId] = set()
-        for s in seeds:
-            out.add(s)
-            if s in self._graph:
-                out |= set(self.distances_within(s, radius))
-        return frozenset(out)
-
     def common_neighbours(self, u: NodeId, v: NodeId) -> FrozenSet[NodeId]:
         """Memoized ``N(u) ∩ N(v)`` (witness discovery's hot operation)."""
         key = (u, v) if u < v else (v, u)
         try:
-            self.hits += 1
             return self._common[key]
         except KeyError:
-            self.hits -= 1
-            self.misses += 1
-            out = self.neighbours(u) & self.neighbours(v)
-            self._common[key] = out
-            self._pairs_of.setdefault(u, set()).add(key)
-            self._pairs_of.setdefault(v, set()).add(key)
+            out = self._common[key] = self.neighbours(u) & self.neighbours(v)
             return out
 
-    def filtered_distances(
-        self, v: NodeId, keep: Iterable[NodeId], depth: int = INVALIDATION_RADIUS,
-    ) -> Dict[NodeId, int]:
-        """Distances from ``v`` restricted to nodes in ``keep``.
-
-        The clusterhead-filtered distance map used by coverage construction:
-        ``filtered_distances(u, structure.clusterheads)`` lists every
-        clusterhead within ``depth`` hops of ``u`` with its distance.
-        """
-        keep_set = keep if isinstance(keep, (set, frozenset)) else set(keep)
-        return {
-            x: d for x, d in self.distances_within(v, depth).items()
-            if x in keep_set
-        }
-
-    # -- mutation & invalidation -------------------------------------------
-
-    def add_edge(self, u: NodeId, v: NodeId) -> FrozenSet[NodeId]:
-        """Insert edge ``{u, v}`` and dirty its 3-hop ball.
-
-        Returns:
-            The dirtied node set (useful for cascading invalidation).
-        """
-        self._graph.add_edge(u, v)
-        return self._dirty((u, v))
-
-    def remove_edge(self, u: NodeId, v: NodeId) -> FrozenSet[NodeId]:
-        """Remove edge ``{u, v}`` and dirty its 3-hop ball.
-
-        Returns:
-            The dirtied node set.
-        """
-        self._graph.remove_edge(u, v)
-        return self._dirty((u, v))
-
-    def notify_edge(self, u: NodeId, v: NodeId) -> FrozenSet[NodeId]:
-        """Record that edge ``{u, v}`` was toggled directly on the graph.
-
-        Call *after* the external mutation; the dirty ball is computed on
-        the post-mutation topology, which the module docstring shows is
-        sufficient for all ≤3-hop queries.
-
-        Returns:
-            The dirtied node set.
-        """
-        return self._dirty((u, v))
-
-    def invalidate_nodes(self, nodes: Iterable[NodeId]) -> FrozenSet[NodeId]:
-        """Dirty the 3-hop balls around ``nodes`` (e.g. after node surgery).
-
-        Returns:
-            The dirtied node set.
-        """
-        return self._dirty(tuple(nodes))
-
-    def invalidate_all(self) -> None:
-        """Drop every cached answer (the safe hammer for arbitrary surgery)."""
-        self._generation += 1
-        gen = self._generation
-        for x in set(self._node_epoch) | set(self._graph):
-            self._node_epoch[x] = gen
-            self._node_epoch2[x] = gen
-        self._nbr.clear()
-        self._sorted_nbr.clear()
-        self._closed.clear()
-        self._two_open.clear()
-        self._two_closed.clear()
-        self._dist.clear()
-        self._common.clear()
-        self._pairs_of.clear()
-
-    def _dirty(self, seeds: Iterable[NodeId]) -> FrozenSet[NodeId]:
-        """Evict every cache entry inside the ball around ``seeds``."""
-        self._generation += 1
-        gen = self._generation
-        # Fresh BFS on the *current* adjacency — deliberately not through the
-        # (possibly stale) distance cache.
-        ball: Set[NodeId] = set()
-        ball2: Set[NodeId] = set()  # the ≤2-hop sub-ball (see :meth:`epoch`)
-        graph = self._graph
-        for s in seeds:
-            ball.add(s)
-            ball2.add(s)
-            if s not in graph:
-                continue
-            dist: Dict[NodeId, int] = {s: 0}
-            queue: deque[NodeId] = deque([s])
-            while queue:
-                x = queue.popleft()
-                d = dist[x]
-                if d >= INVALIDATION_RADIUS:
-                    continue
-                for w in graph.neighbours_view(x):
-                    if w not in dist:
-                        dist[w] = d + 1
-                        queue.append(w)
-            ball |= dist.keys()
-            ball2.update(x for x, d in dist.items() if d <= 2)
-        for x in ball2:
-            self._node_epoch2[x] = gen
-        for x in ball:
-            self._node_epoch[x] = gen
-            self._nbr.pop(x, None)
-            self._sorted_nbr.pop(x, None)
-            self._closed.pop(x, None)
-            self._two_open.pop(x, None)
-            self._two_closed.pop(x, None)
-            self._dist.pop(x, None)
-            for key in self._pairs_of.pop(x, ()):
-                self._common.pop(key, None)
-                other = key[0] if key[1] == x else key[1]
-                pairs = self._pairs_of.get(other)
-                if pairs is not None:
-                    pairs.discard(key)
-        return frozenset(ball)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TopologyView(n={self._graph.num_nodes}, "
-            f"gen={self._generation}, hits={self.hits}, misses={self.misses})"
-        )
+        return f"TopologyView(n={self._graph.num_nodes})"
 
 
 def as_view(topology: TopologyLike) -> TopologyView:
@@ -391,8 +122,8 @@ def as_view(topology: TopologyLike) -> TopologyView:
     A :class:`TopologyView` is returned unchanged; a plain
     :class:`~repro.graph.adjacency.Graph` is wrapped in a fresh view.  This
     is the adapter that keeps every plain-``Graph`` public signature working
-    after the refactor — wrapping is O(1) and queries are computed lazily,
-    so one-shot callers pay nothing for the cache they do not reuse.
+    — wrapping is O(1) and queries are computed lazily, so one-shot callers
+    pay nothing for the cache they do not reuse.
     """
     if isinstance(topology, TopologyView):
         return topology

@@ -16,6 +16,7 @@ from repro.faults.schedule import FaultSchedule, NodeDown, apply_schedule
 from repro.graph.adjacency import Graph
 from repro.graph.generators import random_geometric_network
 from repro.sim.network import SimNetwork
+from repro.types import CoveragePolicy
 
 
 def build(seed=7, n=40, degree=8.0):
@@ -155,20 +156,38 @@ class TestCrashFallback:
         assert out.promoted
 
 
+def scratch_cds(graph, dead, policy):
+    """The oracle: a from-scratch backbone on ``graph`` minus ``dead``."""
+    stripped = graph.copy()
+    for v in dead:
+        for w in sorted(stripped.neighbours_view(v)):
+            stripped.remove_edge(v, w)
+    backbone = build_static_backbone(lowest_id_clustering(stripped), policy)
+    return frozenset(backbone.nodes) - frozenset(dead)
+
+
 class TestBackboneFallback:
-    def test_node_removal_reruns_gateway_selection(self):
-        graph, structure = build(seed=7)
-        fallback = BackboneFallback(graph)
-        heads = set(structure.clusterheads)
-        victim = min(heads)  # kill a clusterhead outright
-        repaired = fallback.backbone_after_failures([victim])
-        assert victim not in repaired
-        # The repaired set matches a from-scratch build on G - victim.
-        stripped = graph.copy()
-        for w in sorted(graph.neighbours_view(victim)):
-            stripped.remove_edge(victim, w)
-        scratch = build_static_backbone(lowest_id_clustering(stripped))
-        assert repaired == frozenset(scratch.nodes) - {victim}
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("policy", [
+        pytest.param(CoveragePolicy.TWO_FIVE_HOP, id="2.5"),
+        pytest.param(CoveragePolicy.THREE_HOP, id="3"),
+    ])
+    def test_node_removal_reruns_gateway_selection(self, policy, seed):
+        graph, structure = build(seed=seed)
+        fallback = BackboneFallback(graph, policy)
+        heads = sorted(structure.clusterheads)
+        members = sorted(set(graph.nodes()) - set(heads))
+        # Two clusterheads and two members die; the batch is reported in
+        # two calls, the second repeating a node from the first.
+        calls = [[heads[0], members[0]],
+                 [heads[-1], members[-1], heads[0]]]
+        dead = set()
+        for call in calls:
+            repaired = fallback.backbone_after_failures(call)
+            dead |= set(call)
+            assert not repaired & dead
+            assert repaired == scratch_cds(graph, dead, policy)
+        assert fallback.removed == frozenset(dead)
 
     def test_repeated_and_duplicate_failures(self):
         graph, structure = build(seed=9, n=30)
@@ -184,6 +203,17 @@ class TestBackboneFallback:
         graph, _ = build(n=20)
         with pytest.raises(NodeNotFoundError):
             BackboneFallback(graph).backbone_after_failures([999])
+        # A mixed batch is rejected as a whole: the known id is not
+        # removed, and the fallback carries on as if never called.
+        known, other = sorted(graph.nodes())[:2]
+        fallback = BackboneFallback(graph)
+        with pytest.raises(NodeNotFoundError):
+            fallback.backbone_after_failures([known, 999])
+        assert fallback.removed == frozenset()
+        clean = BackboneFallback(graph)
+        assert (fallback.backbone_after_failures([other])
+                == clean.backbone_after_failures([other]))
+        assert fallback.removed == clean.removed == frozenset({other})
 
     def test_original_graph_not_mutated(self):
         graph, _ = build(n=25)

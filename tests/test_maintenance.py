@@ -147,13 +147,17 @@ class TestAdverseMaintenance:
     """Disconnected snapshots and clusterheads vanishing outright."""
 
     def make_sessions(self, rows, seed=17, n=30):
-        """A full-recompute and an incremental session over one motion."""
+        """A full-recompute and an incremental-repair session over one motion.
+
+        The incremental side is the array kernel session, whose per-tick
+        edge-delta repair is the library's incremental route.
+        """
         net = random_geometric_network(n, 10.0, rng=seed)
         order = net.graph.nodes()
         victims = [order.index(v) for v in rows]
         return (
-            MobilitySession(net, Exile(victims, net.area)),
-            MobilitySession(net, Exile(victims, net.area), incremental=True),
+            MobilitySession(net, Exile(victims, net.area), kernel=False),
+            MobilitySession(net, Exile(victims, net.area), kernel=True),
             net,
         )
 
@@ -203,7 +207,7 @@ class TestAdverseMaintenance:
         victim = max(net.graph.nodes())
         order = net.graph.nodes()
         inc = MobilitySession(
-            net, Exile([order.index(victim)], net.area), incremental=True
+            net, Exile([order.index(victim)], net.area), kernel=True
         )
         for _ in range(3):
             report = inc.step()

@@ -116,18 +116,6 @@ class TestSessionEquivalence:
                 policy=CoveragePolicy.THREE_HOP,
             )
 
-    def test_repair_summary_covers_role_changes(self):
-        area = Area(60.0, 60.0)
-        pts = uniform_placement(40, area, rng=3)
-        session = KernelMobilitySession(
-            pts, 15.0, RandomWalk(speed=8.0, area=area, rng=4), area=area
-        )
-        for _ in range(5):
-            session.step(1.0)
-            summary = session.repair_summary()
-            assert summary.flipped <= summary.reevaluated
-            assert len(summary.role_changes) <= summary.touched
-
 
 class TestMaskedCoverageLargeN:
     """Regression: key packing must not wrap in the CSR's int32 indices.
