@@ -12,7 +12,7 @@ Three gates, shared by pytest collection, the CI ``channel-smoke`` job and
   delivery: the flooding-vs-SI delivery gap must stay open (and SD must
   beat flooding too);
 * **Determinism** — the contention sweep is bit-identical across the
-  serial/thread/process backends and worker counts.
+  serial/process backends and worker counts.
 
 With ``--gate`` the run additionally fails when sweep throughput drops
 below ``0.7x`` the latest committed ``channel-contention`` point in
@@ -84,7 +84,7 @@ def run_bench(*, quick: bool, trials: int, seed: int) -> dict:
     )
     elapsed = time.perf_counter() - t0
 
-    backends = [("thread", 4)] if quick else [("thread", 4), ("process", 2)]
+    backends = [("process", 2)] if quick else [("process", 2), ("process", 4)]
     bit_identical = True
     for backend, workers in backends:
         other = run_contention_sweep(
@@ -155,7 +155,8 @@ def main(argv=None) -> int:
     """CLI entry point; returns a process exit status."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="small trial budget, thread backend only")
+                        help="small trial budget; checks bit identity "
+                             "against a 2-worker process pool only")
     parser.add_argument("--json", action="store_true",
                         help="emit the summary as JSON")
     parser.add_argument("--trials", type=int, default=None,

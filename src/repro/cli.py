@@ -29,8 +29,8 @@ writes every folded trial to a crash-safe run journal, ``--resume``
 replays an interrupted journal so the run continues bit-identically,
 ``--retries N`` and ``--chunk-timeout SECONDS`` run the chosen backend
 under supervision (failed or hung wave chunks are retried with backoff,
-broken pools are rebuilt, and execution degrades process → thread →
-serial rather than aborting).
+broken pools are rebuilt, and execution degrades process → serial rather
+than aborting).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from repro.exec.backends import BACKENDS
 from repro.rng import DEFAULT_SEED
 
 
@@ -356,8 +357,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     perf.reset()
     t0 = _time.perf_counter()
     try:
-        tables = runners[args.figure](env, backend=args.backend,
-                                      parallel=args.parallel)
+        tables = runners[args.figure](env)
     finally:
         wall = _time.perf_counter() - t0
         counters = perf.snapshot()
@@ -373,8 +373,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     trials_per_sec = trials / wall if wall > 0 else 0.0
     breakdown = _perf_broadcast_breakdown(counters)
     if args.json:
-        payload = {"figure": args.figure, "backend": args.backend,
-                   "parallel": args.parallel, "stages": counters,
+        payload = {"figure": args.figure, "stages": counters,
                    "trials": trials,
                    "wall_seconds": round(wall, 3),
                    "trials_per_sec": round(trials_per_sec, 2),
@@ -384,8 +383,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             payload["peak_rss_bytes"] = perf.peak_rss_bytes()
         print(_json.dumps(payload, indent=2))
     else:
-        print(f"{args.figure} on backend={args.backend} "
-              f"parallel={args.parallel} (seed {args.seed})")
+        print(f"{args.figure} (seed {args.seed})")
         print(perf.render_report(counters))
         if breakdown["total"] > 0.0:
             print("broadcast breakdown:")
@@ -743,12 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--csv", help="also write rows to this CSV file")
     p.add_argument("--json", help="also write records to this JSON file")
-    p.add_argument("--backend", choices=["serial", "thread", "process"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default=None,
                    help="execution backend (results are identical; process "
                         "uses real multi-core workers)")
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker count for the pooled backends")
+                   help="worker count (more than one selects the process "
+                        "backend unless --backend says otherwise)")
     _add_resilience_args(p)
     p.set_defaults(func=_cmd_experiment)
 
@@ -765,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full paper environment (default: quick); for "
                         "mobility, n=10000 x 10 ticks instead of "
                         "n=2000 x 5")
-    p.add_argument("--backend", choices=["serial", "thread"],
-                   default="serial",
-                   help="stage counters are process-local, so attribution "
-                        "supports the in-process backends only")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mem", action="store_true",
                    help="also sample per-stage memory (tracemalloc net "
@@ -839,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--crash-fraction", type=float, default=0.1)
     p.add_argument("--json", help="also write sweep points to this JSON file")
-    p.add_argument("--backend", choices=["serial", "thread", "process"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default=None,
                    help="execution backend for the sweep (identical results)")
     p.add_argument("--parallel", type=int, default=1)
@@ -872,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--json", help="also write sweep points to this JSON "
                                   "file (fault-sweep schema)")
-    p.add_argument("--backend", choices=["serial", "thread", "process"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default=None,
                    help="execution backend for the sweep (identical results)")
     p.add_argument("--parallel", type=int, default=1)
@@ -896,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True,
                    help="durable state directory (request manifests and "
                         "journals; recovery scans it on start)")
-    p.add_argument("--backend", choices=["serial", "thread", "process"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default="process",
                    help="warm-pool backend shared across requests")
     p.add_argument("--parallel", type=int, default=2,

@@ -2,7 +2,7 @@
 
 ``repro.exec`` is the layer between the workload drivers and the hardware:
 
-* :mod:`repro.exec.backends` — pluggable ``serial`` / ``thread`` /
+* :mod:`repro.exec.backends` — ``serial`` (the bit-exact reference) or
   ``process`` execution for :func:`repro.workload.trials.paired_trials`,
   with a persistent process pool and an index-ordered determinism contract
   (estimates are bit-identical across backends and worker counts);
@@ -13,7 +13,7 @@
   sweeps and fault scenarios;
 * :mod:`repro.exec.supervise` — the fault-tolerant wrapper: per-chunk
   timeouts, classified failures, retry with backoff, pool rebuilds and
-  the ``process`` → ``thread`` → ``serial`` degradation ladder;
+  the ``process`` → ``serial`` degradation ladder;
 * :mod:`repro.exec.journal` — crash-safe run journaling (append-only
   fsync'd JSONL) so an interrupted run resumes bit-identically.
 
@@ -25,8 +25,6 @@ from repro.exec.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
-    TrialJob,
     as_backend,
     shared_backend,
     shutdown_shared_backends,
@@ -69,8 +67,6 @@ __all__ = [
     "ScenarioKey",
     "SerialBackend",
     "SupervisedBackend",
-    "ThreadBackend",
-    "TrialJob",
     "TrialSpec",
     "as_backend",
     "classify_failure",

@@ -1,27 +1,27 @@
 """Execution backends: where paired trials actually run.
 
-Three interchangeable strategies behind one contract:
+Two interchangeable strategies behind one contract:
 
 * ``serial`` — inline in the calling thread.  The reference backend: the
-  other two must reproduce its results bit for bit.
-* ``thread`` — a ``ThreadPoolExecutor``.  Useful only when the trial
-  function releases the GIL (IO, heavy numpy); the pure-Python trial
-  pipeline is GIL-bound and sees near-zero speedup here.
+  process pool must reproduce its results bit for bit.
 * ``process`` — a persistent ``ProcessPoolExecutor``.  Real multi-core
   execution: trials cross the boundary as a :class:`~repro.exec.spec.TrialSpec`
   plus per-trial seed sequences (both tiny and picklable); workers resolve
   the spec once and keep it memoized, so steady-state submissions pickle a
   few hundred bytes per chunk, never the trial function.
 
-The determinism contract all three share: a wave of trials is described by
-``(start_index, seed_sequences)`` where trial ``i`` always consumes spawned
-child stream ``i``; backends return results **in trial-index order**, so the
-caller's fold is independent of scheduling, worker count and chunking.
+Both run the same body, :func:`_run_spec_chunk`, the serial backend on the
+whole wave in-process and the process workers on one chunk each.  The
+determinism contract they share: a wave of trials is described by
+``(spec, start_index, seed_sequences)`` where trial ``i`` always consumes
+spawned child stream ``i``; backends return results **in trial-index
+order**, so the caller's fold is independent of scheduling, worker count
+and chunking.
 
 Backends are cheap to construct but pools are not, so :func:`shared_backend`
-hands out process/thread backends memoized per worker count — a figure
-sweep's ten experiment points reuse one warm pool instead of forking eight
-workers per point.
+hands out process backends memoized per worker count — a figure sweep's ten
+experiment points reuse one warm pool instead of forking eight workers per
+point.
 """
 
 from __future__ import annotations
@@ -30,73 +30,50 @@ import atexit
 import math
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.exec.spec import IndexedTrialFn, TrialSpec, resolve_cached
+from repro.exec.spec import TrialSpec, resolve_cached
 
 #: Names accepted by :func:`as_backend` / ``paired_trials(backend=...)``.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _validate_workers(workers: int) -> None:
     """Reject non-positive worker counts before any pool is touched."""
-    if not isinstance(workers, int) or isinstance(workers, bool):
+    if not isinstance(workers, int) or isinstance(workers, bool) \
+            or workers < 1:
         raise ConfigurationError(
-            f"workers must be an int >= 1, got {workers!r}"
-        )
-    if workers < 1:
-        raise ConfigurationError(
-            f"backend needs workers >= 1, got {workers}"
-        )
+            f"workers must be an int >= 1, got {workers!r}")
 
 
-class TrialJob:
-    """One runnable trial description: a spec, or an in-process callable.
+def _run_spec_chunk(spec: TrialSpec,
+                    items: List[Tuple[int, np.random.SeedSequence]]
+                    ) -> List[Mapping[str, float]]:
+    """Resolve ``spec`` (memoized) and run its ``(index, seed)`` items.
 
-    ``fn`` takes only a generator (the legacy closure contract); ``spec``
-    resolves to an indexed trial ``(index, generator) -> metrics``.  Exactly
-    one of the two is set.
+    A resolved trial may carry a ``run_batch`` attribute taking
+    ``[(index, generator), ...]`` and returning the metrics in item
+    order — the seam the array broadcast kernels use to evaluate a whole
+    wave per invocation.  The contract is bit-exactness: batch results
+    must equal per-item calls.
     """
+    fn = resolve_cached(spec)
+    batch = getattr(fn, "run_batch", None)
+    if batch is not None:
+        return list(batch([
+            (index, np.random.default_rng(seq)) for index, seq in items
+        ]))
+    return [fn(index, np.random.default_rng(seq)) for index, seq in items]
 
-    __slots__ = ("spec", "fn", "_resolved")
 
-    def __init__(self, *, spec: Optional[TrialSpec] = None,
-                 fn: Optional[Callable] = None) -> None:
-        if (spec is None) == (fn is None):
-            raise ConfigurationError("a trial job needs a spec or a "
-                                     "function, not both")
-        self.spec = spec
-        self.fn = fn
-        self._resolved: Optional[IndexedTrialFn] = None
-
-    def call(self, index: int, generator: np.random.Generator
-             ) -> Mapping[str, float]:
-        """Execute the trial in the current process."""
-        if self.fn is not None:
-            return self.fn(generator)
-        if self._resolved is None:
-            self._resolved = resolve_cached(self.spec)  # type: ignore[arg-type]
-        return self._resolved(index, generator)
-
-    def batch_fn(self) -> Optional[Callable]:
-        """The resolved trial's whole-wave entry point, if it declares one.
-
-        A spec-resolved trial may carry a ``run_batch`` attribute taking
-        ``[(index, generator), ...]`` and returning the metrics in item
-        order — the seam the array broadcast kernels use to evaluate a
-        whole wave per invocation.  The contract is bit-exactness: batch
-        results must equal per-item :meth:`call` results.  Legacy closures
-        (``fn``) never batch.
-        """
-        if self.spec is None:
-            return None
-        if self._resolved is None:
-            self._resolved = resolve_cached(self.spec)
-        return getattr(self._resolved, "run_batch", None)
+def _chunk(items: list, pieces: int) -> List[list]:
+    """Split ``items`` into at most ``pieces`` contiguous runs."""
+    size = max(1, math.ceil(len(items) / max(1, pieces)))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 class ExecutionBackend(ABC):
@@ -105,10 +82,10 @@ class ExecutionBackend(ABC):
     name: str
 
     @abstractmethod
-    def run_wave(self, job: TrialJob, start_index: int,
+    def run_wave(self, spec: TrialSpec, start_index: int,
                  seeds: Sequence[np.random.SeedSequence]
                  ) -> List[Mapping[str, float]]:
-        """Run trials ``start_index .. start_index+len(seeds)-1``.
+        """Run trials ``start_index .. start_index+len(seeds)-1`` of ``spec``.
 
         Returns:
             One metrics mapping per trial, **in trial-index order**.
@@ -130,46 +107,41 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Inline execution — the bit-exact reference for the pooled backends."""
+    """Inline execution — the bit-exact reference for the process pool."""
 
     name = "serial"
 
-    def run_wave(self, job, start_index, seeds):
-        batch = job.batch_fn()
-        if batch is not None:
-            return list(batch([
-                (start_index + k, np.random.default_rng(seq))
-                for k, seq in enumerate(seeds)
-            ]))
-        return [
-            job.call(start_index + k, np.random.default_rng(seq))
-            for k, seq in enumerate(seeds)
-        ]
+    def run_wave(self, spec, start_index, seeds):
+        return _run_spec_chunk(spec, list(enumerate(seeds, start=start_index)))
 
 
-class _PooledBackend(ExecutionBackend):
-    """Shared wave logic for executor-pool backends."""
+class ProcessBackend(ExecutionBackend):
+    """Process-pool execution: real multi-core throughput.
+
+    The pool is persistent (created on first wave, reused until
+    :meth:`close`); work ships as ``(spec, [(index, seed), ...])`` chunks —
+    roughly one chunk per worker per wave — and results come back in chunk
+    order, which is trial-index order.
+    """
+
+    name = "process"
 
     def __init__(self, workers: int) -> None:
         _validate_workers(workers)
         self.workers = workers
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
-    @abstractmethod
-    def _make_pool(self) -> Executor:
-        ...
-
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         # Guarded: the supervision layer runs chunks from concurrent
         # watchdog threads, and an unlocked check-then-create would leak a
         # second pool when two of them arrive at a rebuilt backend at once.
         with self._pool_lock:
             if self._pool is None:
-                self._pool = self._make_pool()
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
-    def _take_pool(self) -> Optional[Executor]:
+    def _take_pool(self) -> Optional[ProcessPoolExecutor]:
         """Detach the current pool under the lock (None when already gone).
 
         Close/abandon first *swap* the reference atomically and only then
@@ -184,93 +156,10 @@ class _PooledBackend(ExecutionBackend):
             return pool
 
     def close(self) -> None:
+        """Shut the pool down after its running work (idempotent)."""
         pool = self._take_pool()
         if pool is not None:
             pool.shutdown()
-
-    def _submit_wave(self, submit):
-        """Run ``submit(pool)`` against a live pool, resubmitting if a
-        concurrent ``close``/``abandon`` shut the pool down between
-        ``_ensure_pool`` returning it and the submission landing.  Safe
-        because waves are idempotent (pure functions of their
-        ``(index, seed)`` items) — a resubmitted wave returns
-        bit-identical results.
-        """
-        while True:
-            pool = self._ensure_pool()
-            try:
-                return submit(pool)
-            except RuntimeError as exc:
-                if "shutdown" not in str(exc):
-                    raise
-
-
-def _run_spec_chunk(spec: TrialSpec,
-                    items: List[Tuple[int, np.random.SeedSequence]]
-                    ) -> List[Mapping[str, float]]:
-    """Worker entry point: resolve ``spec`` (memoized) and run its items."""
-    fn = resolve_cached(spec)
-    batch = getattr(fn, "run_batch", None)
-    if batch is not None:
-        return list(batch([
-            (index, np.random.default_rng(seq)) for index, seq in items
-        ]))
-    return [fn(index, np.random.default_rng(seq)) for index, seq in items]
-
-
-def _chunk(items: list, pieces: int) -> List[list]:
-    """Split ``items`` into at most ``pieces`` contiguous runs."""
-    size = max(1, math.ceil(len(items) / max(1, pieces)))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-class ThreadBackend(_PooledBackend):
-    """Thread-pool execution.
-
-    Kept for trial functions that release the GIL; for the pure-Python
-    pipeline prefer :class:`ProcessBackend`.  Accepts both closures and
-    specs (nothing crosses a process boundary).  Batch-capable trials run
-    per item here — interleaving items across threads is the point, and
-    bit-exactness makes the two routes indistinguishable.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def abandon(self) -> None:
-        """Drop the pool without joining its threads.
-
-        Threads cannot be killed, so a genuinely hung trial keeps its
-        thread until the function returns; pending work is cancelled and
-        the pool reference is dropped so the next wave starts fresh.
-        """
-        pool = self._take_pool()
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def run_wave(self, job, start_index, seeds):
-        indexed = list(enumerate(seeds, start=start_index))
-        return self._submit_wave(lambda pool: list(pool.map(
-            lambda item: job.call(item[0], np.random.default_rng(item[1])),
-            indexed,
-        )))
-
-
-class ProcessBackend(_PooledBackend):
-    """Process-pool execution: real multi-core throughput.
-
-    The pool is persistent (created on first wave, reused until
-    :meth:`close`); work ships as ``(spec, [(index, seed), ...])`` chunks —
-    roughly one chunk per worker per wave — and results come back in chunk
-    order, which is trial-index order.
-    """
-
-    name = "process"
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.workers)
 
     def abandon(self) -> None:
         """Kill the worker processes and write the pool off.
@@ -291,22 +180,29 @@ class ProcessBackend(_PooledBackend):
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def run_wave(self, job, start_index, seeds):
-        if job.spec is None:
-            raise ConfigurationError(
-                "the process backend needs a picklable TrialSpec; plain "
-                "trial closures cannot cross the process boundary — build "
-                "the trial with TrialSpec.create(...) or use the serial/"
-                "thread backend"
-            )
-        items = list(enumerate(seeds, start=start_index))
-        chunks = _chunk(items, self.workers)
+    def _submit_wave(self, submit):
+        """Run ``submit(pool)`` against a live pool, resubmitting if a
+        concurrent ``close``/``abandon`` shut the pool down between
+        ``_ensure_pool`` returning it and the submission landing.  Safe
+        because waves are idempotent (pure functions of their
+        ``(index, seed)`` items) — a resubmitted wave returns
+        bit-identical results.
+        """
+        while True:
+            pool = self._ensure_pool()
+            try:
+                return submit(pool)
+            except RuntimeError as exc:
+                if "shutdown" not in str(exc):
+                    raise
+
+    def run_wave(self, spec, start_index, seeds):
+        chunks = _chunk(list(enumerate(seeds, start=start_index)),
+                        self.workers)
 
         def submit(pool):
-            futures = [
-                pool.submit(_run_spec_chunk, job.spec, chunk)
-                for chunk in chunks
-            ]
+            futures = [pool.submit(_run_spec_chunk, spec, chunk)
+                       for chunk in chunks]
             results: List[Mapping[str, float]] = []
             for future in futures:  # submission order == trial-index order
                 results.extend(future.result())
@@ -315,45 +211,41 @@ class ProcessBackend(_PooledBackend):
         return self._submit_wave(submit)
 
 
-_SHARED: Dict[Tuple[str, int], ExecutionBackend] = {}
+_SHARED: Dict[int, ProcessBackend] = {}
 _SHARED_LOCK = threading.Lock()
 
 BackendLike = Union[None, str, ExecutionBackend]
 
 
 def shared_backend(name: str, workers: int = 1) -> ExecutionBackend:
-    """A memoized backend per ``(name, workers)`` — pools stay warm.
+    """A memoized process backend per worker count — pools stay warm.
 
-    Shared pools are shut down at interpreter exit (the registered
-    :func:`shutdown_shared_backends` ``atexit`` hook) or explicitly.
-    Registry access is lock-guarded: concurrent first requests for the
-    same key get one backend, not one each.
+    ``"serial"`` returns a fresh :class:`SerialBackend` (it holds no
+    resources).  Shared pools are shut down at interpreter exit (the
+    registered :func:`shutdown_shared_backends` ``atexit`` hook) or
+    explicitly.  Registry access is lock-guarded: concurrent first
+    requests for the same worker count get one backend, not one each.
     """
     _validate_workers(workers)
     if name == "serial":
         return SerialBackend()
-    if name not in ("thread", "process"):
+    if name != "process":
         raise ConfigurationError(
             f"unknown backend {name!r}; expected one of {BACKENDS}"
         )
-    key = (name, workers)
     with _SHARED_LOCK:
-        backend = _SHARED.get(key)
+        backend = _SHARED.get(workers)
         if backend is None:
-            if name == "thread":
-                backend = ThreadBackend(workers)
-            else:
-                backend = ProcessBackend(workers)
-            _SHARED[key] = backend
+            backend = _SHARED[workers] = ProcessBackend(workers)
         return backend
 
 
 def shutdown_shared_backends() -> None:
-    """Close every pooled backend handed out by :func:`shared_backend`.
+    """Close every process backend handed out by :func:`shared_backend`.
 
     Idempotent and safe against concurrent callers (and against a
     shared_backend() racing in): the registry is drained under the lock,
-    each detached backend is closed outside it, and pooled ``close`` is
+    each detached backend is closed outside it, and its ``close`` is
     itself idempotent — a backend that was already closed (or is closed
     twice by racing shutdowns) is a no-op.
     """
@@ -371,14 +263,13 @@ atexit.register(shutdown_shared_backends)
 def as_backend(backend: BackendLike, workers: int = 1) -> ExecutionBackend:
     """Normalise ``backend`` (name, instance or ``None``) into an instance.
 
-    ``None`` selects ``serial`` for one worker and ``thread`` for more —
-    the backward-compatible default of ``paired_trials(parallel=)``.
+    ``None`` selects ``serial`` for one worker and ``process`` for more.
     """
     _validate_workers(workers)
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        backend = "serial" if workers <= 1 else "thread"
+        backend = "serial" if workers <= 1 else "process"
     if not isinstance(backend, str):
         raise ConfigurationError(
             f"backend must be a name or ExecutionBackend, got "

@@ -27,7 +27,9 @@ A long Monte-Carlo sweep that dies — OOM kill, preempted spot instance,
   the first is live.  Two writers interleaving fsync'd appends would
   corrupt the contiguous-prefix invariant that resume depends on, so the
   daemon's restart scan can trust that a lockable journal has no
-  surviving owner.
+  surviving owner.  A forked child (a process-pool worker) lets go of
+  its copy of the lock at fork, so a killed writer's surviving workers
+  never keep its journal locked.
 
 Resume semantics (see :func:`repro.workload.trials.paired_trials`): the
 journal of one experiment point always holds a contiguous prefix
@@ -45,7 +47,7 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Set, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 try:  # POSIX advisory locking; degrade to in-process-only elsewhere
     import fcntl
@@ -59,11 +61,34 @@ PathLike = Union[str, Path]
 JOURNAL_FORMAT = "repro-run-journal"
 _JOURNAL_VERSION = 1
 
-#: In-process single-writer registry (absolute paths of open journals).
-#: The flock below already covers same-process double opens on POSIX;
-#: this registry keeps the guarantee where fcntl is unavailable.
-_OPEN_PATHS: Set[str] = set()
+#: In-process single-writer registry: absolute path -> descriptor of each
+#: open journal.  The flock below already covers same-process double opens
+#: on POSIX; this registry keeps the guarantee where fcntl is unavailable.
+_OPEN_PATHS: Dict[str, int] = {}
 _OPEN_LOCK = threading.Lock()
+
+
+def _release_inherited_locks() -> None:
+    """Fork hook: drop the child's share of its parent's journal locks.
+
+    A flock belongs to the open file description, which fork shares, so
+    a pool worker would otherwise hold the lock for as long as it lives,
+    even after its parent is killed and a resume wants the journal back.
+    Re-pointing the child's descriptor at ``/dev/null`` closes its
+    reference without unlocking the parent's.  Runs in the child's only
+    thread, so it must not wait on ``_OPEN_LOCK``.
+    """
+    if not _OPEN_PATHS:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for fd in _OPEN_PATHS.values():
+        os.dup2(devnull, fd)
+    os.close(devnull)
+    _OPEN_PATHS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_release_inherited_locks)
 
 
 def _normalise_key(key: Mapping) -> dict:
@@ -105,14 +130,14 @@ class RunJournal:
                     f"journal {self.path} is already open for writing in "
                     f"this process; a journal has exactly one writer"
                 )
-            _OPEN_PATHS.add(resolved)
+            _OPEN_PATHS[resolved] = self._fh.fileno()
         if fcntl is not None:
             try:
                 fcntl.flock(self._fh.fileno(),
                             fcntl.LOCK_EX | fcntl.LOCK_NB)
             except OSError:
                 with _OPEN_LOCK:
-                    _OPEN_PATHS.discard(resolved)
+                    _OPEN_PATHS.pop(resolved, None)
                 raise JournalError(
                     f"journal {self.path} is locked by another writer "
                     f"(live process); refusing the concurrent open"
@@ -239,13 +264,15 @@ class RunJournal:
     def close(self) -> None:
         """Flush and close the journal file, releasing the writer lock
         (idempotent)."""
+        # Unregister first: the fork hook must never see a descriptor
+        # number that close has already freed for reuse.
+        if self._locked_path is not None:
+            with _OPEN_LOCK:
+                _OPEN_PATHS.pop(self._locked_path, None)
+            self._locked_path = None
         if self._fh is not None:
             self._fh.close()  # closing the fd also drops the flock
             self._fh = None
-        if self._locked_path is not None:
-            with _OPEN_LOCK:
-                _OPEN_PATHS.discard(self._locked_path)
-            self._locked_path = None
 
     def __enter__(self) -> "RunJournal":
         """Context-manager entry: the open journal itself."""

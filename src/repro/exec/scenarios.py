@@ -17,8 +17,8 @@ Sharing contract: cached :class:`~repro.graph.network.Network` objects (and
 their clusterings) are handed to many trials — treat them as immutable, as
 all library algorithms already do.  The cache is per-process: worker
 processes of the ``process`` backend each warm their own copy, so the hit
-rate there depends on which worker sees which index (the serial and thread
-backends always hit).
+rate there depends on which worker sees which index (the serial backend
+always hits).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Supervised execution: retry, timeout, pool recovery, graceful degrade.
 
-The pooled backends in :mod:`repro.exec.backends` are *fast* but brittle:
+The process backend in :mod:`repro.exec.backends` is *fast* but brittle:
 one SIGKILLed worker breaks the whole ``ProcessPoolExecutor``, a trial that
 never returns wedges the wave forever, and either failure aborts a run that
 may already hold thousands of converged trials.  :class:`SupervisedBackend`
@@ -26,8 +26,8 @@ stack:
 * a ``crash``/``timeout`` **abandons** the inner pool (killing its workers
   where possible) so the next attempt gets a fresh one, and after
   ``degrade_after`` pool-level failures the supervisor **degrades**
-  ``process`` → ``thread`` → ``serial`` — trading speed for progress without
-  changing a single estimate (the backends share one determinism contract);
+  ``process`` → ``serial`` — trading speed for progress without changing a
+  single estimate (the backends share one determinism contract);
 * every decision is emitted as a structured :class:`ExecEvent` (collected on
   ``.events`` and forwarded to an optional ``on_event`` callback) so the CLI
   and the perf layer can surface what the supervisor had to survive.
@@ -54,11 +54,10 @@ from repro.exec.backends import (
     BackendLike,
     ExecutionBackend,
     SerialBackend,
-    ThreadBackend,
-    TrialJob,
     _chunk,
     as_backend,
 )
+from repro.exec.spec import TrialSpec
 
 #: Failure classes the supervisor distinguishes.
 FAILURE_KINDS = ("crash", "timeout", "transient", "fatal")
@@ -75,7 +74,7 @@ _TRANSIENT_ERRNOS = frozenset({
 _FATAL_ERRNOS = frozenset({errno.ENOSPC, errno.EROFS, errno.EDQUOT})
 
 #: The graceful-degradation ladder, fastest tier first.
-DEGRADE_ORDER = ("process", "thread", "serial")
+DEGRADE_ORDER = ("process", "serial")
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,10 @@ class SupervisedBackend(ExecutionBackend):
 
     Wraps another backend (instance or name) and runs each wave chunk
     under retry/timeout/backoff supervision with pool recovery and the
-    ``process`` → ``thread`` → ``serial`` degradation ladder described in
-    the module docstring.  Because retried chunks are idempotent and
-    results are still returned in trial-index order, a supervised run
-    produces estimates **bit-identical** to an undisturbed one.
+    ``process`` → ``serial`` degradation ladder described in the module
+    docstring.  Because retried chunks are idempotent and results are
+    still returned in trial-index order, a supervised run produces
+    estimates **bit-identical** to an undisturbed one.
     """
 
     name = "supervised"
@@ -188,8 +187,8 @@ class SupervisedBackend(ExecutionBackend):
             chunk_timeout: Per-chunk deadline in seconds (``None``: no
                 deadline).  Reclaiming a timed-out chunk needs a killable
                 pool, so timeouts are fully effective on the process
-                backend; thread/serial timeouts are detected and retried
-                but the stuck call cannot be interrupted.
+                backend; serial timeouts are detected and retried but the
+                stuck call cannot be interrupted.
             backoff_base: First retry delay in seconds (doubled per
                 attempt, jittered to 50-100%).
             backoff_cap: Upper bound on any single backoff delay.
@@ -237,24 +236,24 @@ class SupervisedBackend(ExecutionBackend):
 
     # -- chunk execution --------------------------------------------------
 
-    def _run_chunk(self, job: TrialJob, chunk: List[Tuple[int, object]],
+    def _run_chunk(self, spec: TrialSpec, chunk: List[Tuple[int, object]],
                    holder: dict) -> None:
         """Watchdog-thread body: one inner wave for one chunk."""
         try:
             start = chunk[0][0]
             seeds = [seq for _i, seq in chunk]
-            holder["value"] = self.inner.run_wave(job, start, seeds)
+            holder["value"] = self.inner.run_wave(spec, start, seeds)
         except BaseException as exc:  # noqa: BLE001 - classified upstream
             holder["error"] = exc
 
-    def _attempt_round(self, job: TrialJob,
+    def _attempt_round(self, spec: TrialSpec,
                        chunk_list: List[Tuple[int, list]]):
         """Run the pending chunks concurrently; return per-chunk outcomes."""
         entries = []
         for cid, chunk in chunk_list:
             holder: dict = {}
             thread = threading.Thread(
-                target=self._run_chunk, args=(job, chunk, holder),
+                target=self._run_chunk, args=(spec, chunk, holder),
                 daemon=True, name=f"repro-supervise-{cid}",
             )
             entries.append((cid, chunk, holder, thread))
@@ -280,13 +279,7 @@ class SupervisedBackend(ExecutionBackend):
 
     def _degraded_inner(self) -> Optional[ExecutionBackend]:
         """The next backend down the ladder, or ``None`` at the bottom."""
-        tier = self.inner.name
-        workers = getattr(self.inner, "workers", 1)
-        if tier == "process":
-            return ThreadBackend(workers)
-        if tier == "thread":
-            return SerialBackend()
-        return None
+        return SerialBackend() if self.inner.name == "process" else None
 
     def _recover_pool(self, attempt: int) -> None:
         """Abandon the broken/hung pool; degrade after repeated failures."""
@@ -312,7 +305,7 @@ class SupervisedBackend(ExecutionBackend):
 
     # -- the backend contract ---------------------------------------------
 
-    def run_wave(self, job: TrialJob, start_index: int,
+    def run_wave(self, spec: TrialSpec, start_index: int,
                  seeds: Sequence[np.random.SeedSequence]
                  ) -> List[Mapping[str, float]]:
         """Run one supervised wave; results in trial-index order.
@@ -332,7 +325,7 @@ class SupervisedBackend(ExecutionBackend):
         attempt = 0
         while pending:
             outcomes = self._attempt_round(
-                job, [(cid, chunks[cid]) for cid in pending]
+                spec, [(cid, chunks[cid]) for cid in pending]
             )
             failed: List[int] = []
             last_failure = ("transient", None)

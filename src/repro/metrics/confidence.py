@@ -217,6 +217,28 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.99) -> Co
     )
 
 
+def validate_stopping_rule(confidence: float, target: float,
+                           min_samples: int, max_samples: int) -> None:
+    """Reject a stopping rule no run could satisfy, naming the field.
+
+    Raises:
+        ConfigurationError: ``confidence`` or ``target`` outside (0, 1),
+            ``min_samples`` below 2, or ``max_samples`` below
+            ``min_samples``.
+    """
+    if not (0.0 < confidence < 1.0):
+        raise ConfigurationError(
+            f"confidence must be in (0, 1), got {confidence}")
+    if not (0.0 < target < 1.0):
+        raise ConfigurationError(f"target must be in (0, 1), got {target}")
+    if min_samples < 2:
+        raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
+    if max_samples < min_samples:
+        raise ConfigurationError(
+            f"max_samples must be >= min_samples ({min_samples}), "
+            f"got {max_samples}")
+
+
 class SequentialEstimator:
     """The paper's stopping rule as an accumulator.
 
@@ -239,12 +261,7 @@ class SequentialEstimator:
         min_samples: int = 30,
         max_samples: int = 100_000,
     ) -> None:
-        if not (0.0 < target < 1.0):
-            raise ConfigurationError(f"target must be in (0, 1), got {target}")
-        if min_samples < 2:
-            raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
-        if max_samples < min_samples:
-            raise ConfigurationError("max_samples must be >= min_samples")
+        validate_stopping_rule(confidence, target, min_samples, max_samples)
         self.confidence = confidence
         self.target = target
         self.min_samples = min_samples

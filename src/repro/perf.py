@@ -19,12 +19,13 @@ Design constraints:
   coverage sets internally); the active-stage stack *pauses* the outer
   stage while an inner one runs, so per-stage seconds sum to the pipeline
   total instead of double-counting.
-* **Thread-aware.**  The stage stack is thread-local (the thread backend
-  runs trials concurrently); the accumulated counters are global behind a
-  lock, flushed once per stage exit.
+* **Thread-aware.**  The stage stack is thread-local (supervisor
+  watchdogs and serve runners execute trials on their own threads); the
+  accumulated counters are global behind a lock, flushed once per stage
+  exit.
 * **Process-local.**  Counters live in the worker that does the work; the
   process backend's workers each keep their own registry.  Attribute
-  stages with the ``serial``/``thread`` backends (see docs/performance.md).
+  stages with the ``serial`` backend (see docs/performance.md).
 """
 
 from __future__ import annotations

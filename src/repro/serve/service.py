@@ -17,8 +17,8 @@ tests drive it directly).  The robustness rules, in one place:
   :class:`~repro.exec.supervise.SupervisedBackend` over the *shared* warm
   pool (``owns_inner=False``): crashes/hangs retry with backoff, the
   broken pool is abandoned and rebuilt lazily, and execution degrades
-  process → thread → serial — while the supervision event stream lands on
-  the request for clients to inspect.
+  process → serial — while the supervision event stream lands on the
+  request for clients to inspect.
 * **Deadlines are enforced, not advisory.**  The executor joins the
   runner thread with the request deadline; on expiry the request fails
   first (first-wins), the shared pool is abandoned to unwedge a stuck

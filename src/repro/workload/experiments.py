@@ -338,7 +338,7 @@ def run_flooding_comparison(
 # ---------------------------------------------------------------------------
 #
 # Above ``kernels.KERNEL_CUTOVER`` nodes, :func:`make_figure_trial` exposes a
-# ``run_batch`` seam (see repro.exec.backends.TrialJob.batch_fn): the wave's
+# ``run_batch`` seam (see repro.exec.backends._run_spec_chunk): the wave's
 # scenarios stack into one block-diagonal CSR and each figure algorithm runs
 # as a single stacked broadcast.  The figure metrics are exact integer counts
 # and the kernels are bit-equivalent to the reference implementations, so

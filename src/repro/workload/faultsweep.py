@@ -125,9 +125,8 @@ def run_fault_sweep(
         max_retries: Retry budget of the reliable variants.
         parallel: Worker count handed to
             :func:`~repro.workload.trials.paired_trials`.
-        backend: Execution backend (``"serial"`` / ``"thread"`` /
-            ``"process"`` or an instance); results are identical whichever
-            is chosen.
+        backend: Execution backend (``"serial"`` / ``"process"`` or an
+            instance); results are identical whichever is chosen.
         rng: Seed or generator.
         journal: An open :class:`~repro.exec.journal.RunJournal`; each
             loss point writes its folded trials through a per-point view,

@@ -6,23 +6,24 @@ the algorithms, not from sampling luck, and the paper's stopping rule is
 applied to every metric — the point is done when *all* metrics' confidence
 intervals are tight.
 
-Trials can run concurrently through a pluggable execution backend
-(``serial`` / ``thread`` / ``process``, see :mod:`repro.exec.backends`):
-each trial draws from its own child generator spawned deterministically from
-the root stream, results fold in trial order, and the stopping rule is
-checked after every folded trial — so the outcome is bit-identical across
-backends and worker counts, and a converged point stops submitting new
-work.  Batch sizes are adaptive: the next submission wave is projected from
-the current relative half-width instead of a fixed block, so convergence is
-not overshot by up to a full batch.
+Every trial is a :class:`~repro.exec.spec.TrialSpec` run by one of two
+execution backends (``serial``, the bit-exact reference, or ``process``;
+see :mod:`repro.exec.backends`): each trial draws from its own child
+generator spawned deterministically from the root stream, results fold in
+trial order, and the stopping rule is checked after every folded trial — so
+the outcome is bit-identical across backends and worker counts, and a
+converged point stops submitting new work.  Batch sizes are adaptive: the
+next submission wave is projected from the current relative half-width
+instead of a fixed block, so convergence is not overshot by up to a full
+batch.
 
-Trials built from a :class:`~repro.exec.spec.TrialSpec` may additionally
-expose a ``run_batch`` attribute on the resolved trial function — the seam
-the array broadcast kernels (:mod:`repro.broadcast.kernels`) use to
-evaluate a whole submission wave in one vectorised invocation instead of
-one trial at a time.  The contract is bit-exactness: ``run_batch`` must
-return exactly what per-trial calls would, so the stopping rule, journal
-replay and backend equivalence guarantees above all carry over unchanged.
+A resolved trial function may additionally expose a ``run_batch``
+attribute — the seam the array broadcast kernels
+(:mod:`repro.broadcast.kernels`) use to evaluate a whole submission wave in
+one vectorised invocation instead of one trial at a time.  The contract is
+bit-exactness: ``run_batch`` must return exactly what per-trial calls
+would, so the stopping rule, journal replay and backend equivalence
+guarantees above all carry over unchanged.
 
 Folded outcomes can additionally be written through a crash-safe
 :class:`~repro.exec.journal.PointJournal` (``journal=``): an interrupted
@@ -35,20 +36,18 @@ than fatal (see docs/resilience.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Mapping, Optional
 
 from repro.errors import ConfigurationError, SampleBudgetExceededError
-from repro.exec.backends import BackendLike, TrialJob, as_backend
+from repro.exec.backends import BackendLike, as_backend
 from repro.exec.journal import PointJournal
 from repro.exec.spec import TrialSpec
-from repro.metrics.confidence import ConfidenceInterval, SequentialEstimator
+from repro.metrics.confidence import (
+    ConfidenceInterval,
+    SequentialEstimator,
+    validate_stopping_rule,
+)
 from repro.rng import RngLike, ensure_rng, spawn_seeds
-
-#: A trial function: draws one sample with the given generator and returns
-#: one value per metric label.
-TrialFn = Callable[[np.random.Generator], Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,8 @@ def _next_wave(folded: int, estimators: Dict[str, SequentialEstimator],
 
 
 def paired_trials(
-    trial_fn: Optional[TrialFn] = None,
     *,
-    spec: Optional[TrialSpec] = None,
+    spec: TrialSpec,
     confidence: float = 0.99,
     target: float = 0.05,
     min_samples: int = 30,
@@ -109,40 +107,27 @@ def paired_trials(
     """Run paired trials until the stopping rule holds for every metric.
 
     Args:
-        trial_fn: Produces one sample's metric values (an in-process
-            closure; serial and thread execution only).
-        spec: A picklable :class:`~repro.exec.spec.TrialSpec` alternative to
-            ``trial_fn`` — required for the process backend, accepted by
-            all of them.  Exactly one of ``trial_fn`` / ``spec`` must be
-            given.
+        spec: A picklable :class:`~repro.exec.spec.TrialSpec` whose
+            resolved trial takes ``(trial_index, generator)`` and returns
+            one value per metric label.
         confidence: CI confidence level (paper: 0.99).
         target: Relative half-width target (paper: ±5%).
-        min_samples: Trials before convergence may be declared.
-        max_samples: Hard budget.
+        min_samples: Trials before convergence may be declared (>= 2).
+        max_samples: Hard budget (>= ``min_samples``).
         rng: Seed or generator for the trial streams.
         strict: If ``True``, raise
             :class:`~repro.errors.SampleBudgetExceededError` when the budget
             runs out; otherwise return the best-effort estimates with
             ``converged=False``.
-        parallel: Worker count for the pooled backends.
-        backend: ``"serial"`` / ``"thread"`` / ``"process"``, an
+        parallel: Worker count for the process backend.
+        backend: ``"serial"`` / ``"process"``, an
             :class:`~repro.exec.backends.ExecutionBackend` instance, or
-            ``None`` for the backward-compatible default (legacy serial
-            path when ``parallel == 1`` and ``trial_fn`` is given; thread
-            pool otherwise).
-
-            **Choosing one:** the trial pipeline is pure Python and
-            GIL-bound, so the thread backend yields near-zero speedup on
-            CPU-bound trials — it exists for trial functions that release
-            the GIL.  For real multi-core execution use
-            ``backend="process"`` with a ``spec``.  All explicit backends
-            share one stream contract — trial ``i`` consumes spawned child
-            stream ``i``, results fold in trial order, and the stopping
-            rule is checked per folded trial — so their estimates are
-            **bit-identical** across backends and worker counts.  The
-            legacy ``parallel=1`` closure path instead threads one
-            generator through all trials and differs from the spawned
-            streams by design.
+            ``None`` for ``serial`` when ``parallel == 1`` and ``process``
+            otherwise.  Every backend shares one stream contract — trial
+            ``i`` consumes spawned child stream ``i``, results fold in
+            trial order, and the stopping rule is checked per folded
+            trial — so estimates are **bit-identical** across backends and
+            worker counts.
         journal: A :class:`~repro.exec.journal.PointJournal` to write
             every folded trial through (crash safety) and to replay a
             previous run's prefix from (resume).  Replayed trials come
@@ -150,29 +135,33 @@ def paired_trials(
             trial-stream spawn counter is advanced past the replayed
             prefix — so a killed-and-resumed run folds exactly the
             sequence an uninterrupted run would have folded and the
-            estimates are bit-identical.  Journaling requires the
-            positional spawned streams, so a legacy closure call
-            (``backend=None``, ``parallel=1``) is promoted to the
-            ``serial`` backend.
+            estimates are bit-identical.
 
     Returns:
         The :class:`TrialOutcome`.
+
+    Raises:
+        ConfigurationError: A non-spec trial, ``parallel < 1``, or a
+            stopping rule no run could satisfy — checked before any trial
+            runs or any pool starts.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if (trial_fn is None) == (spec is None):
+    if not isinstance(spec, TrialSpec):
         raise ConfigurationError(
-            "exactly one of trial_fn / spec must be provided"
+            f"spec must be a TrialSpec, got {type(spec).__name__}; build "
+            f"the trial with TrialSpec.create(...)"
         )
-    if journal is not None and backend is None and parallel == 1:
-        # The legacy closure path threads one generator through all trials,
-        # which cannot be replayed without re-running; journaling needs the
-        # positional spawned streams of the backend path.
-        backend = "serial"
+    if parallel < 1:
+        raise ConfigurationError(f"parallel must be >= 1, got {parallel}")
+    validate_stopping_rule(confidence, target, min_samples, max_samples)
+    executor = as_backend(backend, parallel)
     generator = ensure_rng(rng)
     estimators: Dict[str, SequentialEstimator] = {}
+    trials = 0
+    converged = False
 
-    def fold(values: Mapping[str, float]) -> None:
+    def fold(values: Mapping[str, float]) -> bool:
+        """Fold trial ``trials``; True once the point is finished."""
+        nonlocal trials, converged
         for label, value in values.items():
             est = estimators.get(label)
             if est is None:
@@ -183,60 +172,33 @@ def paired_trials(
                     max_samples=max_samples,
                 )
             est.add(float(value))
-
-    def all_converged(folded: int) -> bool:
-        return folded >= min_samples and all(
+        trials += 1
+        converged = trials >= min_samples and all(
             e.converged() for e in estimators.values()
         )
+        return converged or trials >= max_samples
 
-    trials = 0
-    converged = False
-    if trial_fn is not None and backend is None and parallel == 1:
-        # Legacy serial path: one generator threaded through all trials.
-        while True:
-            fold(trial_fn(generator))
-            trials += 1
-            if all_converged(trials):
-                converged = True
+    if journal is not None:
+        # Resume: fold the journaled prefix (trials 0..k-1) exactly as
+        # the original run folded it, then advance the spawn counter so
+        # trial k onward consumes child stream k as it always would.
+        for values in journal.replay_prefix():
+            if fold(values):
                 break
-            if trials >= max_samples:
+        if trials:
+            spawn_seeds(generator, trials)
+    while not converged and trials < max_samples:
+        wave = _next_wave(trials, estimators, min_samples, max_samples,
+                          parallel)
+        seeds = spawn_seeds(generator, wave)
+        for values in executor.run_wave(spec, trials, seeds):
+            # Fold in trial order (determinism).  Results past the point's
+            # end are speculative overshoot; discarding them keeps the
+            # outcome independent of wave partitioning.
+            if journal is not None:
+                journal.record(trials, values)
+            if fold(values):
                 break
-    else:
-        workers = max(1, parallel)
-        executor = as_backend(backend, workers)
-        job = TrialJob(spec=spec) if spec is not None else TrialJob(fn=trial_fn)
-        if journal is not None:
-            # Resume: fold the journaled prefix (trials 0..k-1) exactly as
-            # the original run folded it, then advance the spawn counter so
-            # trial k onward consumes child stream k as it always would.
-            for values in journal.replay_prefix():
-                fold(values)
-                trials += 1
-                if all_converged(trials):
-                    converged = True
-                    break
-                if trials >= max_samples:
-                    break
-            if trials:
-                spawn_seeds(generator, trials)
-        while not converged and trials < max_samples:
-            wave = _next_wave(trials, estimators, min_samples, max_samples,
-                              workers)
-            seeds = spawn_seeds(generator, wave)
-            results = executor.run_wave(job, trials, seeds)
-            for values in results:  # fold in trial order: determinism
-                if journal is not None:
-                    journal.record(trials, values)
-                fold(values)
-                trials += 1
-                if all_converged(trials):
-                    # Later results of this wave are speculative overshoot;
-                    # discarding them keeps the outcome independent of wave
-                    # partitioning, and no further waves are submitted.
-                    converged = True
-                    break
-                if trials >= max_samples:
-                    break
     if strict and not converged:
         worst = max(
             estimators.values(), key=lambda e: e.interval().relative_half_width

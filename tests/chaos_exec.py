@@ -91,6 +91,29 @@ def make_chaos_trial(
     return trial
 
 
+def make_noise_trial(*, means: tuple = (("m", 10.0),),
+                     noise: float = 0.0) -> "callable":
+    """Trial-spec factory: ``mean + noise * standard normal`` per metric.
+
+    ``means`` is a tuple of ``(label, mean)`` pairs; each label draws one
+    standard normal in order.  ``noise=0`` gives constant metrics.
+    """
+
+    def trial(index: int, gen: np.random.Generator):
+        return {label: mean + noise * float(gen.standard_normal())
+                for label, mean in means}
+
+    return trial
+
+
+def noise_spec(noise: float, **means: float):
+    """A :func:`make_noise_trial` spec, one ``label=mean`` metric per keyword."""
+    from repro.exec.spec import TrialSpec
+
+    return TrialSpec.create("chaos_exec:make_noise_trial",
+                            means=tuple(sorted(means.items())), noise=noise)
+
+
 def run_journaled(argv=None) -> int:
     """The subprocess driver: one journaled chaos run (see module docstring)."""
     parser = argparse.ArgumentParser(description="journaled chaos run")
@@ -100,7 +123,7 @@ def run_journaled(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--backend", default="serial",
-                        choices=["serial", "thread", "process"])
+                        choices=["serial", "process"])
     parser.add_argument("--parallel", type=int, default=1)
     parser.add_argument("--trial-sleep", type=float, default=0.0,
                         help="pad each trial so an external killer can "

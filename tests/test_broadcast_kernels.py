@@ -32,9 +32,9 @@ from repro.broadcast.flooding import blind_flooding
 from repro.broadcast.sd_cds import broadcast_sd
 from repro.broadcast.si_cds import broadcast_si
 from repro.cluster.lowest_id import lowest_id_clustering
-from repro.exec.backends import SerialBackend, TrialJob
+from repro.exec.backends import SerialBackend
 from repro.exec.scenarios import connected_scenario
-from repro.exec.spec import TrialSpec
+from repro.exec.spec import TrialSpec, resolve_cached
 from repro.geometry.area import Area
 from repro.geometry.placement import uniform_placement
 from repro.graph.build import unit_disk_graph
@@ -317,12 +317,12 @@ def test_batch_wave_is_bit_identical_to_per_item_calls():
         width=float(Area.paper().width), height=float(Area.paper().height),
         scenario_root=4242,
     )
-    job = TrialJob(spec=spec)
-    assert job.batch_fn() is not None
+    trial = resolve_cached(spec)
+    assert getattr(trial, "run_batch", None) is not None
     seeds = np.random.SeedSequence(7).spawn(6)
-    wave = SerialBackend().run_wave(job, 0, seeds)
+    wave = SerialBackend().run_wave(spec, 0, seeds)
     per_item = [
-        job.call(k, np.random.default_rng(seq))
+        trial(k, np.random.default_rng(seq))
         for k, seq in enumerate(seeds)
     ]
     assert wave == per_item

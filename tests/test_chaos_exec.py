@@ -107,7 +107,7 @@ class TestExternalKillResume:
     SEED = 19
 
     @pytest.mark.parametrize("backend,parallel", [
-        ("serial", 1), ("thread", 2), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_external_sigkill_and_resume(self, tmp_path, backend, parallel):
         reference = reference_estimates(tmp_path, trials=self.TRIALS,

@@ -149,6 +149,36 @@ class TestExtensionCommands:
         assert doc["format"] == "repro-fault-sweep"
         assert len(doc["points"]) == 2
 
+    @pytest.mark.parametrize("command", ["faults", "channel"])
+    def test_zero_trials_is_a_named_error(self, command, capsys):
+        assert main([command, "-n", "15", "-d", "6", "--trials", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "min_samples must be >= 2" in captured.err
+        assert captured.out == ""
+
+    def test_perf_json(self, capsys):
+        assert main(["perf", "--figure", "fig6", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["figure"] == "fig6"
+        assert payload["trials"] > 0
+        assert {"clustering", "coverage", "selection"} <= set(
+            payload["stages"])
+        assert "backend" not in payload and "parallel" not in payload
+
+    def test_backend_choices_come_from_the_registry(self):
+        from repro.exec.backends import BACKENDS
+
+        parser = build_parser()
+        for argv in (["experiment", "fig6"], ["faults"], ["channel"],
+                     ["serve", "--socket", "s", "--root", "r"]):
+            for name in BACKENDS:
+                assert parser.parse_args(argv + ["--backend", name]).backend \
+                    == name
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--backend", "thread"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["perf", "--backend", "serial"])
+
     def test_channel_tdma_mac(self, capsys):
         assert main(["channel", "-n", "15", "-d", "6", "--trials", "2",
                      "--mac", "tdma", "--frame", "4"]) == 0

@@ -1,16 +1,15 @@
 """Tests for the execution backends and the trial-spec plumbing."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaos_exec import noise_spec
 from repro.errors import ConfigurationError
 from repro.exec.backends import (
+    BACKENDS,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
-    TrialJob,
     as_backend,
     shared_backend,
 )
@@ -55,24 +54,13 @@ class TestTrialSpec:
         assert pickle.loads(pickle.dumps(FIG6_SPEC)) == FIG6_SPEC
 
 
-class TestTrialJob:
-    def test_needs_exactly_one_of_spec_and_fn(self):
-        with pytest.raises(ConfigurationError):
-            TrialJob()
-        with pytest.raises(ConfigurationError):
-            TrialJob(spec=FIG6_SPEC, fn=lambda gen: {"m": 0.0})
-
-    def test_fn_job_ignores_index(self):
-        job = TrialJob(fn=lambda gen: {"m": float(gen.integers(10))})
-        rng = np.random.default_rng(0)
-        out = job.call(99, rng)
-        assert set(out) == {"m"}
-
-
 class TestBackendSelection:
-    def test_none_maps_to_serial_then_thread(self):
+    def test_backend_names(self):
+        assert BACKENDS == ("serial", "process")
+
+    def test_none_maps_to_serial_then_process(self):
         assert isinstance(as_backend(None, 1), SerialBackend)
-        assert isinstance(as_backend(None, 4), ThreadBackend)
+        assert isinstance(as_backend(None, 4), ProcessBackend)
 
     def test_instances_pass_through(self):
         b = SerialBackend()
@@ -81,11 +69,14 @@ class TestBackendSelection:
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
             as_backend("gpu", 2)
+        with pytest.raises(ConfigurationError):
+            as_backend("thread", 2)
 
     def test_shared_pools_are_memoized_per_worker_count(self):
-        a = shared_backend("thread", 2)
-        b = shared_backend("thread", 2)
-        c = shared_backend("thread", 3)
+        # No wave runs, so no worker process is ever started.
+        a = shared_backend("process", 2)
+        b = shared_backend("process", 2)
+        c = shared_backend("process", 3)
         assert a is b
         assert a is not c
 
@@ -97,7 +88,7 @@ class TestProcessBackend:
     def test_closure_cannot_cross_the_boundary(self):
         with pytest.raises(ConfigurationError, match="TrialSpec"):
             paired_trials(
-                lambda gen: {"m": 1.0},
+                spec=lambda index, gen: {"m": 1.0},
                 min_samples=2, max_samples=2, rng=1,
                 backend="process", parallel=2,
             )
@@ -109,12 +100,12 @@ class TestProcessBackend:
         assert reference == other
         assert reference.trials == 10
 
-    def test_process_matches_serial_and_thread_bit_for_bit(self):
+    def test_process_matches_serial_bit_for_bit(self):
         kw = dict(spec=FIG6_SPEC, min_samples=8, max_samples=40, rng=11)
         serial = paired_trials(backend="serial", **kw)
-        thread = paired_trials(backend="thread", parallel=3, **kw)
         process = paired_trials(backend="process", parallel=2, **kw)
-        assert serial == thread == process
+        default = paired_trials(parallel=2, **kw)  # None -> process
+        assert serial == process == default
 
     def test_isolated_pool_close_is_idempotent(self):
         backend = ProcessBackend(2)
@@ -136,13 +127,10 @@ class TestAdaptiveStopping:
     ):
         """Adaptive waves never exceed max_samples nor converge early."""
         max_samples = min_samples + extra
-
-        def trial(gen):
-            return {"m": 10.0 + noise * float(gen.standard_normal())}
-
         outcome = paired_trials(
-            trial, min_samples=min_samples, max_samples=max_samples,
-            rng=seed, parallel=workers, backend="serial",
+            spec=noise_spec(noise, m=10.0), min_samples=min_samples,
+            max_samples=max_samples, rng=seed, parallel=workers,
+            backend="serial",
         )
         assert outcome.trials <= max_samples
         assert outcome.trials >= min(min_samples, max_samples)
@@ -151,7 +139,7 @@ class TestAdaptiveStopping:
 
     def test_zero_noise_stops_exactly_at_min_samples(self):
         outcome = paired_trials(
-            lambda gen: {"m": 3.0}, min_samples=5, max_samples=500,
+            spec=noise_spec(0.0, m=3.0), min_samples=5, max_samples=500,
             rng=0, backend="serial",
         )
         assert outcome.converged
@@ -160,13 +148,10 @@ class TestAdaptiveStopping:
     def test_strict_budget_exhaustion_raises(self):
         from repro.errors import SampleBudgetExceededError
 
-        def wild(gen):
-            return {"m": float(gen.standard_normal()) * 100.0}
-
         with pytest.raises(SampleBudgetExceededError):
             paired_trials(
-                wild, min_samples=3, max_samples=6, rng=2,
-                backend="serial", strict=True,
+                spec=noise_spec(100.0, m=0.0), min_samples=3,
+                max_samples=6, rng=2, backend="serial", strict=True,
             )
 
 
@@ -176,7 +161,7 @@ class TestWorkerValidation:
     @pytest.mark.parametrize("workers", [0, -1, -8])
     def test_shared_backend_rejects_non_positive(self, workers):
         with pytest.raises(ConfigurationError):
-            shared_backend("thread", workers)
+            shared_backend("process", workers)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_as_backend_rejects_non_positive(self, workers):
@@ -188,88 +173,81 @@ class TestWorkerValidation:
         with pytest.raises(ConfigurationError):
             as_backend(None, workers)
 
-    @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+    @pytest.mark.parametrize("cls", [ProcessBackend])
     def test_pooled_constructors_reject_zero(self, cls):
         with pytest.raises(ConfigurationError):
             cls(0)
 
 
+def _wave(backend, n=3, start=0):
+    """One FIG6_SPEC wave of ``n`` trials on ``backend``."""
+    from repro.rng import ensure_rng, spawn_seeds
+
+    return backend.run_wave(FIG6_SPEC, start, spawn_seeds(ensure_rng(0), n))
+
+
 class TestBackendLifecycle:
     """Pools rebuild after shutdown/abandon and close stays idempotent."""
-
-    def _wave(self, backend, n=3, start=0):
-        from repro.rng import ensure_rng, spawn_seeds
-
-        job = TrialJob(spec=FIG6_SPEC)
-        seeds = spawn_seeds(ensure_rng(0), n)
-        return backend.run_wave(job, start, seeds)
 
     def test_shared_backend_survives_global_shutdown(self):
         from repro.exec.backends import shutdown_shared_backends
 
-        backend = shared_backend("thread", 2)
-        first = self._wave(backend)
+        backend = shared_backend("process", 2)
+        first = _wave(backend)
         shutdown_shared_backends()
         # The memoized instance is still usable: _ensure_pool rebuilds.
-        again = self._wave(backend)
+        again = _wave(backend)
         assert again == first
         backend.close()
 
-    def test_thread_pool_rebuilds_after_close(self):
-        backend = ThreadBackend(2)
-        first = self._wave(backend)
+    def test_process_pool_rebuilds_after_close(self):
+        backend = ProcessBackend(2)
+        first = _wave(backend)
         backend.close()
-        assert self._wave(backend) == first
+        assert _wave(backend) == first
         backend.close()
         backend.close()  # double close is a no-op
-
-    def test_thread_pool_rebuilds_after_abandon(self):
-        backend = ThreadBackend(2)
-        first = self._wave(backend)
-        backend.abandon()
-        assert backend._pool is None
-        assert self._wave(backend) == first
-        backend.close()
 
     def test_process_pool_rebuilds_after_abandon(self):
         backend = ProcessBackend(2)
         try:
-            first = self._wave(backend)
+            first = _wave(backend)
             backend.abandon()
             assert backend._pool is None
-            assert self._wave(backend) == first
+            assert _wave(backend) == first
         finally:
             backend.close()
             backend.close()  # double close is a no-op
 
     def test_abandon_before_first_wave_is_harmless(self):
-        backend = ThreadBackend(1)
+        backend = ProcessBackend(1)
         backend.abandon()
-        assert self._wave(backend, n=1)
+        assert _wave(backend, n=1)
         backend.close()
 
     def test_serial_abandon_is_a_no_op(self):
         backend = SerialBackend()
         backend.abandon()
-        assert self._wave(backend, n=1)
+        assert _wave(backend, n=1)
+
+    def test_serial_wave_equals_process_wave(self):
+        backend = ProcessBackend(2)
+        try:
+            assert _wave(SerialBackend(), n=5, start=7) == \
+                _wave(backend, n=5, start=7)
+        finally:
+            backend.close()
 
 
 class TestCloseRaces:
     """Pool teardown is safe under concurrent close/rebuild callers."""
 
-    def _wave(self, backend, n=2):
-        from repro.rng import ensure_rng, spawn_seeds
-
-        job = TrialJob(spec=FIG6_SPEC)
-        seeds = spawn_seeds(ensure_rng(0), n)
-        return backend.run_wave(job, 0, seeds)
-
     def test_concurrent_double_close_shuts_down_once(self):
         """N racing closers: each shuts down at most its own detached pool."""
         import threading
 
-        backend = ThreadBackend(2)
-        self._wave(backend)  # materialise the pool
+        backend = ProcessBackend(2)
+        _wave(backend, n=2)  # materialise the pool
         barrier = threading.Barrier(4)
         errors = []
 
@@ -292,8 +270,8 @@ class TestCloseRaces:
         """Waves interleaved with closes always complete (pool rebuilds)."""
         import threading
 
-        backend = ThreadBackend(2)
-        expected = self._wave(backend)
+        backend = ProcessBackend(2)
+        expected = _wave(backend, n=2)
         stop = threading.Event()
         errors = []
 
@@ -308,7 +286,7 @@ class TestCloseRaces:
                 # A wave may observe a close after _ensure_pool returned;
                 # shutdown() waits for running work, so the wave still
                 # finishes and matches the reference bit for bit.
-                assert self._wave(backend) == expected
+                assert _wave(backend, n=2) == expected
         except Exception as exc:
             errors.append(exc)
         finally:
@@ -320,8 +298,8 @@ class TestCloseRaces:
     def test_abandon_racing_close_is_safe(self):
         import threading
 
-        backend = ThreadBackend(2)
-        self._wave(backend)
+        backend = ProcessBackend(2)
+        _wave(backend, n=2)
         barrier = threading.Barrier(2)
         errors = []
 

@@ -114,6 +114,23 @@ class TestSingleWriter:
         finally:
             first.close()
 
+    def test_pool_workers_do_not_inherit_the_lock(self, tmp_path):
+        """A worker forked while the journal is open keeps running after
+        its wave; it must not keep the journal locked once closed."""
+        from repro.exec.backends import ProcessBackend
+
+        path = tmp_path / "run.jsonl"
+        backend = ProcessBackend(1)
+        try:
+            with RunJournal.open(path, KEY) as journal:
+                paired_trials(spec=chaos_spec(tmp_path), min_samples=2,
+                              max_samples=2, rng=0, backend=backend,
+                              journal=journal.point("p"))
+            assert backend._pool is not None  # the worker is still alive
+            RunJournal.open(path, KEY, resume=True).close()
+        finally:
+            backend.close()
+
     def test_failed_open_does_not_leak_the_lock(self, tmp_path):
         path = tmp_path / "run.jsonl"
         RunJournal.open(path, KEY).close()
@@ -279,12 +296,12 @@ class TestPairedTrialsResume:
         path.write_text("\n".join(lines[:1 + 5]) + "\n")
         with RunJournal.open(path, KEY, resume=True) as journal:
             resumed = self._run(tmp_path, journal=journal.point("p"),
-                                backend="thread")
+                                backend="process")
         assert resumed.estimates == reference.estimates
 
     def test_legacy_default_path_is_promoted_to_serial(self, tmp_path):
-        """``backend=None, parallel=1`` + journal uses the spawned-stream
-        serial path, so the journal indices line up with child streams."""
+        """``backend=None, parallel=1`` + journal runs the serial backend
+        on spawned streams, so journal indices line up with child streams."""
         with RunJournal.open(tmp_path / "run.jsonl", KEY) as journal:
             outcome = paired_trials(
                 spec=chaos_spec(tmp_path), min_samples=4, max_samples=4,

@@ -8,7 +8,7 @@ import pytest
 
 from chaos_exec import make_chaos_trial
 from repro.errors import ChunkRetryExhaustedError, ConfigurationError
-from repro.exec.backends import ExecutionBackend, SerialBackend, TrialJob
+from repro.exec.backends import ExecutionBackend, SerialBackend
 from repro.exec.spec import TrialSpec
 from repro.exec.supervise import (
     DEGRADE_ORDER,
@@ -70,8 +70,8 @@ class TestValidation:
         assert SupervisedBackend().inner.name == "serial"
 
     def test_name_resolves_through_as_backend(self):
-        sup = SupervisedBackend("thread", workers=2)
-        assert sup.inner.name == "thread"
+        sup = SupervisedBackend("process", workers=2)
+        assert sup.inner.name == "process"
         sup.close()
 
 
@@ -88,7 +88,7 @@ class TestClassifyFailure:
     def test_kinds_are_the_published_constants(self):
         assert set(FAILURE_KINDS) == {"crash", "timeout", "transient",
                                       "fatal"}
-        assert DEGRADE_ORDER == ("process", "thread", "serial")
+        assert DEGRADE_ORDER == ("process", "serial")
 
     def test_memory_error_is_crash(self):
         assert classify_failure(MemoryError()) == "crash"
@@ -188,7 +188,7 @@ class TestOwnership:
         assert inner.closed == 0
 
     def test_degraded_replacement_is_owned_even_when_inner_was_shared(self):
-        shared = _FailingInner("thread")
+        shared = _FailingInner("process")
         sup = SupervisedBackend(shared, retries=3, degrade_after=1,
                                 backoff_base=0.001, owns_inner=False)
         paired_trials(
@@ -296,7 +296,7 @@ class _FailingInner(ExecutionBackend):
 
 
 class TestDegradationLadder:
-    def test_process_degrades_to_thread_and_recovers(self, tmp_path):
+    def test_process_degrades_to_serial_and_recovers(self, tmp_path):
         fake = _FailingInner("process")
         events = []
         sup = SupervisedBackend(fake, retries=3, degrade_after=1,
@@ -307,20 +307,11 @@ class TestDegradationLadder:
         )
         assert outcome.trials == 4
         assert fake.abandoned == 1
-        assert sup.inner.name == "thread"
         degrades = [e for e in events if e.kind == "degrade"]
-        assert degrades and "process -> thread" in degrades[0].detail
+        assert len(degrades) == 1
+        assert (degrades[0].backend, sup.inner.name) == ("process", "serial")
+        assert degrades[0].detail == "process -> serial"
         sup.close()
-
-    def test_thread_degrades_to_serial(self, tmp_path):
-        sup = SupervisedBackend(_FailingInner("thread"), retries=3,
-                                degrade_after=1, backoff_base=0.001)
-        outcome = paired_trials(
-            spec=chaos_spec(tmp_path), min_samples=4, max_samples=4,
-            rng=5, backend=sup,
-        )
-        assert outcome.trials == 4
-        assert sup.inner.name == "serial"
 
     def test_serial_has_nowhere_to_go(self):
         sup = SupervisedBackend(_FailingInner("serial"), retries=1,

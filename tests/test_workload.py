@@ -1,9 +1,11 @@
 """Tests for the experiment harness (config, trials, figure drivers)."""
 
-import numpy as np
 import pytest
 
+from chaos_exec import noise_spec
 from repro.errors import ConfigurationError, SampleBudgetExceededError
+from repro.exec.backends import SerialBackend
+from repro.exec.spec import TrialSpec
 from repro.workload.config import PaperEnvironment
 from repro.workload.experiments import (
     DYNAMIC_25,
@@ -50,10 +52,33 @@ class TestPaperEnvironment:
             PaperEnvironment(**kwargs)
 
 
+#: A uniform-draw trial spec (the chaos trial without injections).
+UNIFORM = TrialSpec.create("chaos_exec:make_chaos_trial",
+                           marker_dir="/nonexistent-unused")
+
+
+class _NeverRuns(SerialBackend):
+    """A backend that fails the test if any trial reaches it."""
+
+    def run_wave(self, spec, start_index, seeds):
+        raise AssertionError("a trial ran before validation")
+
+
+class _CountingBackend(SerialBackend):
+    """The serial backend, counting every trial it executes."""
+
+    def __init__(self):
+        self.ran = 0
+
+    def run_wave(self, spec, start_index, seeds):
+        self.ran += len(seeds)
+        return super().run_wave(spec, start_index, seeds)
+
+
 class TestPairedTrials:
     def test_converges_on_constant_metrics(self):
         outcome = paired_trials(
-            lambda gen: {"a": 5.0, "b": 7.0},
+            spec=noise_spec(0.0, a=5.0, b=7.0),
             min_samples=4, max_samples=100, rng=0,
         )
         assert outcome.converged
@@ -62,85 +87,81 @@ class TestPairedTrials:
         assert outcome.estimates["b"].mean == 7.0
 
     def test_budget_exhaustion_nonstrict(self):
-        def noisy(gen):
-            return {"x": float(gen.normal(0.5, 100.0))}
-
-        outcome = paired_trials(noisy, min_samples=3, max_samples=5, rng=1)
+        outcome = paired_trials(spec=noise_spec(100.0, x=0.5),
+                                min_samples=3, max_samples=5, rng=1)
         assert not outcome.converged
         assert outcome.trials == 5
 
     def test_budget_exhaustion_strict_raises(self):
-        def noisy(gen):
-            return {"x": float(gen.normal(0.5, 100.0))}
-
         with pytest.raises(SampleBudgetExceededError):
-            paired_trials(noisy, min_samples=3, max_samples=5, rng=1,
-                          strict=True)
+            paired_trials(spec=noise_spec(100.0, x=0.5), min_samples=3,
+                          max_samples=5, rng=1, strict=True)
 
     def test_reproducible(self):
-        def trial(gen):
-            return {"v": float(gen.random())}
+        a = paired_trials(spec=UNIFORM, min_samples=5, max_samples=5, rng=3)
+        b = paired_trials(spec=UNIFORM, min_samples=5, max_samples=5, rng=3)
+        assert a.estimates["m"].mean == b.estimates["m"].mean
 
-        a = paired_trials(trial, min_samples=5, max_samples=5, rng=3)
-        b = paired_trials(trial, min_samples=5, max_samples=5, rng=3)
-        assert a.estimates["v"].mean == b.estimates["v"].mean
+    @pytest.mark.parametrize("field,kwargs", [
+        ("min_samples", dict(min_samples=0, max_samples=0)),
+        ("min_samples", dict(min_samples=1, max_samples=5)),
+        ("max_samples", dict(min_samples=5, max_samples=4)),
+        ("confidence", dict(confidence=1.0)),
+        ("confidence", dict(confidence=0.0)),
+        ("target", dict(target=0.0)),
+        ("target", dict(target=1.5)),
+    ])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_stopping_rule_validated_before_any_trial(self, field, kwargs,
+                                                      strict):
+        with pytest.raises(ConfigurationError, match=field):
+            paired_trials(spec=UNIFORM, rng=0, strict=strict,
+                          backend=_NeverRuns(), **kwargs)
 
 
 class TestParallelTrials:
-    @staticmethod
-    def _trial(gen):
-        return {"v": float(gen.random()), "w": float(gen.normal())}
-
     def test_parallel_deterministic_for_fixed_seed(self):
-        a = paired_trials(self._trial, min_samples=8, max_samples=8, rng=3,
-                          parallel=4)
-        b = paired_trials(self._trial, min_samples=8, max_samples=8, rng=3,
-                          parallel=4)
-        assert a.estimates["v"] == b.estimates["v"]
-        assert a.estimates["w"] == b.estimates["w"]
+        a = paired_trials(spec=UNIFORM, min_samples=8, max_samples=8, rng=3,
+                          parallel=2)
+        b = paired_trials(spec=UNIFORM, min_samples=8, max_samples=8, rng=3,
+                          parallel=2)
+        assert a.estimates["m"] == b.estimates["m"]
 
     def test_worker_count_does_not_change_estimates(self):
-        # Trial i draws from child stream i regardless of batch partition,
+        # Trial i draws from child stream i regardless of wave partition,
         # and results fold in trial order — so for a fixed trial count the
         # estimates are identical across worker counts.
-        a = paired_trials(self._trial, min_samples=8, max_samples=8, rng=3,
-                          parallel=2)
-        b = paired_trials(self._trial, min_samples=8, max_samples=8, rng=3,
-                          parallel=8)
+        kw = dict(spec=noise_spec(1.0, v=0.0, w=1.0), min_samples=8,
+                  max_samples=8, rng=3, backend="serial")
+        a = paired_trials(parallel=2, **kw)
+        b = paired_trials(parallel=8, **kw)
         assert a.trials == b.trials == 8
         assert a.estimates["v"] == b.estimates["v"]
         assert a.estimates["w"] == b.estimates["w"]
 
     def test_parallel_one_is_the_serial_path(self):
-        a = paired_trials(self._trial, min_samples=6, max_samples=6, rng=5)
-        b = paired_trials(self._trial, min_samples=6, max_samples=6, rng=5,
-                          parallel=1)
+        a = paired_trials(spec=UNIFORM, min_samples=6, max_samples=6, rng=5)
+        b = paired_trials(spec=UNIFORM, min_samples=6, max_samples=6, rng=5,
+                          backend="serial")
         assert a.estimates == b.estimates
 
     def test_batches_respect_max_samples(self):
-        counted = []
-
-        def trial(gen):
-            counted.append(1)
-            return {"x": float(gen.normal(0.0, 100.0))}
-
-        outcome = paired_trials(trial, min_samples=3, max_samples=5, rng=1,
-                                parallel=4)
+        counting = _CountingBackend()
+        outcome = paired_trials(spec=noise_spec(100.0, x=0.0),
+                                min_samples=3, max_samples=5, rng=1,
+                                parallel=4, backend=counting)
         assert outcome.trials == 5
-        assert len(counted) == 5
+        assert counting.ran == 5
         assert not outcome.converged
 
     def test_strict_raises_in_parallel_mode(self):
-        def noisy(gen):
-            return {"x": float(gen.normal(0.5, 100.0))}
-
         with pytest.raises(SampleBudgetExceededError):
-            paired_trials(noisy, min_samples=3, max_samples=6, rng=1,
-                          parallel=3, strict=True)
+            paired_trials(spec=noise_spec(100.0, x=0.5), min_samples=3,
+                          max_samples=6, rng=1, parallel=2, strict=True)
 
     def test_invalid_parallel_rejected(self):
         with pytest.raises(ValueError):
-            paired_trials(self._trial, parallel=0)
+            paired_trials(spec=UNIFORM, parallel=0)
 
 
 class TestFigureDrivers:

@@ -53,8 +53,7 @@ class TestSweep:
             for axis in AXES:
                 assert set(getattr(p, axis)) == set(CONTENTION_PROTOCOLS)
 
-    @pytest.mark.parametrize("backend,workers", [("thread", 4),
-                                                 ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("process", 2)])
     def test_bit_identical_across_backends(self, backend, workers):
         serial = run_contention_sweep(rng=9, **SWEEP_KW)
         pooled = run_contention_sweep(rng=9, backend=backend,
