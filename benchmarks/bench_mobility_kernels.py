@@ -4,9 +4,10 @@ Measures per-tick backbone maintenance at n=2000 two ways:
 
 * **kernel** — the array-native :class:`KernelMobilitySession` driven
   directly (what :class:`MobilitySession` dispatches to above the CSR
-  cutover, and what the 100k workload runs): vectorised stepping with
-  incremental grid re-binning, CSR edge-delta application and masked
-  repair of exactly the dirty heads;
+  cutover, and what the 100k workload runs): vectorised stepping, a CSR
+  rebuild diffed against the previous tick's edge keys, lowest-ID repair
+  from the changed edges, then coverage and gateway selection for every
+  head on arrays;
 * **rebuild** — the object layer's full per-tick rebuild
   (``MobilitySession(kernel=False)``): unit-disk reconstruction plus
   from-scratch clustering and backbone derivation.

@@ -212,21 +212,3 @@ def repair_lowest_id_rows(
     changed = dirty[head_row[dirty] != old_head_row[dirty]]
     reassigned = changed[~old_is_head[changed] & ~is_head[changed]]
     return head_row, affected, flipped, reassigned
-
-
-def lowest_id_clustering_csr(
-    csr: CSRGraph, graph: Graph | None = None
-) -> ClusterStructure:
-    """Materialise :func:`lowest_id_rows` as a :class:`ClusterStructure`.
-
-    Args:
-        csr: The network in CSR form.
-        graph: A set-based graph equal to ``csr`` to attach to the
-            structure (materialised from ``csr`` when omitted).
-    """
-    head_row = lowest_id_rows(csr)
-    ids = csr.ids
-    head_of = dict(zip(ids.tolist(), ids[head_row].tolist()))
-    return ClusterStructure(
-        graph=graph if graph is not None else csr.to_graph(), head_of=head_of
-    )

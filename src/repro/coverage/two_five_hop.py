@@ -22,7 +22,7 @@ property-tested to agree with this function.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.errors import CoverageError
 from repro.graph.csr import (
     CSRGraph,
     grouped_cartesian,
-    mask_unique_rows,
     searchsorted_membership,
     sort_quads,
     sort_triples,
@@ -224,99 +223,3 @@ def two_five_hop_arrays(csr: CSRGraph, head_row: np.ndarray) -> CoverageArrays:
         i_v=i_v,
         i_w=i_w,
     )
-
-
-def two_five_hop_arrays_masked(
-    csr: CSRGraph, head_row: np.ndarray, head_rows: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Witness tables of a *subset* of clusterheads only.
-
-    The incremental maintenance kernels re-derive coverage for just the
-    heads whose 2/3-hop inputs intersect a tick's edge delta; this builds
-    exactly the rows :func:`two_five_hop_arrays` would produce for those
-    heads — same sort order, same dedup rules — while touching only the
-    subset heads' neighbourhoods.  The candidate ``v`` set shrinks to the
-    subset heads' neighbours, the receiving side of each pairing to the
-    subset heads among ``v``'s head neighbours; the announcing side (the
-    CH_HOP1/CH_HOP2 content of ``v``) is untouched, so the per-head rows
-    agree with the full kernel bit for bit.
-
-    Args:
-        csr: The network.
-        head_row: Full per-row head assignment.
-        head_rows: Sorted head rows to compute coverage for.
-
-    Returns:
-        ``(d_head, d_ch, d_v, i_head, i_ch, i_v, i_w)`` — the subset's
-        slice of the full witness tables.
-    """
-    n = csr.num_nodes
-    empty = np.empty(0, dtype=np.int64)
-    if head_rows.shape[0] == 0:
-        return (empty,) * 7
-    is_head = head_row == np.arange(n, dtype=np.int64)
-    flat_h, _ = csr.gather_rows(head_rows)
-    vset = mask_unique_rows(flat_h, n)
-    flat, counts = csr.gather_rows(vset)
-    # int64 up front: the gathered neighbours seed every ``x * n + y`` key
-    # product below, which wraps in the CSR's int32 once n*n exceeds int32.
-    flat = flat.astype(np.int64)
-    grp_of = np.repeat(np.arange(vset.shape[0], dtype=np.int64), counts)
-    nbr_is_head = is_head[flat]
-    in_sub = nbr_is_head & searchsorted_membership(head_rows, flat)
-
-    sub_nbrs = flat[in_sub]
-    k_sub = np.bincount(grp_of[in_sub], minlength=vset.shape[0])
-    ks_start = np.zeros(vset.shape[0], dtype=np.int64)
-    if vset.shape[0]:
-        np.cumsum(k_sub[:-1], out=ks_start[1:])
-    all_nbrs = flat[nbr_is_head]
-    k_all = np.bincount(grp_of[nbr_is_head], minlength=vset.shape[0])
-    ka_start = np.zeros(vset.shape[0], dtype=np.int64)
-    if vset.shape[0]:
-        np.cumsum(k_all[:-1], out=ka_start[1:])
-    plain_nbrs = flat[~nbr_is_head]
-    v_of_plain = grp_of[~nbr_is_head]
-
-    # Direct triples: (h in subset-heads(v)) x (ch in all-heads(v)), h != ch.
-    grp, a, b = grouped_cartesian(k_sub, k_all)
-    d_head = sub_nbrs[ks_start[grp] + a]
-    d_ch = all_nbrs[ka_start[grp] + b]
-    keep = d_head != d_ch
-    grp, d_head, d_ch = grp[keep], d_head[keep], d_ch[keep]
-    d_head, d_ch, d_v = sort_triples(n, d_head, d_ch, vset[grp])
-    d_pair = d_head * n + d_ch
-    if d_pair.shape[0]:
-        first = np.empty(d_pair.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(d_pair[1:], d_pair[:-1], out=first[1:])
-        d_keys = d_pair[first]
-    else:
-        d_keys = d_pair
-
-    # CH_HOP2 entries of the candidate v's, then the subset-head pairing.
-    # The C3-removal test against ``d_keys`` is per-head, so the subset's
-    # direct pairs are exactly the full table's pairs for these heads.
-    ch_of_plain = head_row[plain_nbrs]
-    ok = ~searchsorted_membership(
-        csr.edge_keys(), vset[v_of_plain] * n + ch_of_plain
-    )
-    entry_w = plain_nbrs[ok]
-    entry_ch = ch_of_plain[ok]
-    m = np.bincount(v_of_plain[ok], minlength=vset.shape[0])
-    m_start = np.zeros(vset.shape[0], dtype=np.int64)
-    if vset.shape[0]:
-        np.cumsum(m[:-1], out=m_start[1:])
-    grp, a, b = grouped_cartesian(k_sub, m)
-    q_head = sub_nbrs[ks_start[grp] + a]
-    q_ch = entry_ch[m_start[grp] + b]
-    keep = q_ch != q_head
-    grp, b = grp[keep], b[keep]
-    q_head, q_ch = q_head[keep], q_ch[keep]
-    keep = ~searchsorted_membership(d_keys, q_head * n + q_ch)
-    grp, b = grp[keep], b[keep]
-    q_head, q_ch = q_head[keep], q_ch[keep]
-    q_v = vset[grp]
-    q_w = entry_w[m_start[grp] + b]
-    i_head, i_ch, i_v, i_w = sort_quads(n, q_head, q_ch, q_v, q_w)
-    return d_head, d_ch, d_v, i_head, i_ch, i_v, i_w

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import atexit
 import math
+import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -68,6 +70,29 @@ def _run_spec_chunk(spec: TrialSpec,
             (index, np.random.default_rng(seq)) for index, seq in items
         ]))
     return [fn(index, np.random.default_rng(seq)) for index, seq in items]
+
+
+#: How often a pool worker checks that the process that started it lives.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A parent killed with ``SIGKILL`` never shuts its pool down, and the
+    workers would block on the call queue forever (their siblings hold its
+    write end, so none sees EOF).  A daemon thread polls ``os.getppid()``,
+    which changes when the orphan is reparented, and exits the worker.
+    ``PR_SET_PDEATHSIG`` is no substitute: it fires when the forking
+    *thread* exits, and supervisor watchdog threads start pools.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _chunk(items: list, pieces: int) -> List[list]:
@@ -121,7 +146,8 @@ class ProcessBackend(ExecutionBackend):
     The pool is persistent (created on first wave, reused until
     :meth:`close`); work ships as ``(spec, [(index, seed), ...])`` chunks —
     roughly one chunk per worker per wave — and results come back in chunk
-    order, which is trial-index order.
+    order, which is trial-index order.  Workers exit on their own within
+    about half a second when the parent process dies.
     """
 
     name = "process"
@@ -138,7 +164,11 @@ class ProcessBackend(ExecutionBackend):
         # second pool when two of them arrive at a rebuilt backend at once.
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
+                )
             return self._pool
 
     def _take_pool(self) -> Optional[ProcessPoolExecutor]:

@@ -195,182 +195,6 @@ class SpatialGrid:
         return order[s_rep[close]], order[t_cand[close]]
 
 
-#: Fixed key-packing geometry for :class:`IncrementalGrid`.  Unlike
-#: :meth:`SpatialGrid.pair_arrays`, which rebases cell coordinates on the
-#: data extent it sees once, an incremental index outlives many position
-#: snapshots — so keys use a fixed offset/stride large enough for any
-#: realistic area (cell coordinates up to ±2^20) and small enough that
-#: packed keys stay far inside int64.
-_GRID_OFFSET = 1 << 20
-_GRID_STRIDE = 1 << 21
-
-
-class IncrementalGrid:
-    """A cell-sorted point index maintained incrementally across ticks.
-
-    The mobility hot path re-bins every tick; rebuilding the cell-sorted
-    order from scratch costs an ``O(n log n)`` argsort per tick even when
-    almost nobody changed cell.  This index keeps the order between ticks
-    and repairs it in place: per :meth:`update` only the *cell-crossing*
-    points are pulled out and merged back at their new keys (two
-    ``searchsorted`` passes), so the per-tick cost is ``O(n)`` plus
-    ``O(c log c)`` for the ``c`` crossers.
-
-    :meth:`delta_pairs` then runs the same 5-stencil half sweep as
-    :meth:`SpatialGrid.pair_arrays`, but restricted to the cells that can
-    contain a pair with a moved endpoint — the *dirty* cells (cells
-    holding a moved point) plus their backward-stencil neighbours — and
-    keeps only pairs with at least one moved endpoint.  Diffing those
-    against the previous adjacency yields the exact per-tick edge delta.
-
-    Args:
-        positions: Initial ``(n, 2)`` position array.
-        cell_size: Cell side; for unit-disk deltas pass the radius.
-    """
-
-    __slots__ = ("_pts", "_cell_size", "_key", "_order")
-
-    _STEPS = np.array(
-        [0, _GRID_STRIDE, -_GRID_STRIDE + 1, 1, _GRID_STRIDE + 1],
-        dtype=np.int64,
-    )
-
-    def __init__(self, positions: np.ndarray, cell_size: float) -> None:
-        pts = np.array(positions, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise GeometryError(f"expected (n, 2) positions, got shape {pts.shape}")
-        if not (cell_size > 0.0 and np.isfinite(cell_size)):
-            raise GeometryError(f"cell size must be positive and finite, got {cell_size}")
-        self._pts = pts
-        self._cell_size = float(cell_size)
-        self._key = self._keys_of(pts)
-        self._order = np.argsort(self._key, kind="stable")
-
-    def _keys_of(self, pts: np.ndarray) -> np.ndarray:
-        cells = np.floor(pts / self._cell_size).astype(np.int64)
-        if cells.size and (np.abs(cells) >= _GRID_OFFSET - 1).any():
-            raise GeometryError(
-                "positions exceed the incremental grid's fixed cell range"
-            )
-        return ((cells[:, 0] + _GRID_OFFSET) * _GRID_STRIDE
-                + cells[:, 1] + _GRID_OFFSET)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """The current position snapshot (do not mutate)."""
-        return self._pts
-
-    def update(self, new_positions: np.ndarray) -> np.ndarray:
-        """Adopt a new position snapshot; returns the moved-point mask.
-
-        Only points whose cell changed move within the maintained sorted
-        order: the survivors keep their relative order (still key-sorted
-        after masking), and the crossers are sorted among themselves and
-        merged back — never a full re-sort.
-        """
-        pts = np.array(new_positions, dtype=float, copy=True)
-        if pts.shape != self._pts.shape:
-            raise GeometryError(
-                f"expected positions of shape {self._pts.shape}, got {pts.shape}"
-            )
-        moved = (pts[:, 0] != self._pts[:, 0]) | (pts[:, 1] != self._pts[:, 1])
-        new_key = self._keys_of(pts)
-        crossed = new_key != self._key
-        if crossed.any():
-            stay = self._order[~crossed[self._order]]
-            movers = np.flatnonzero(crossed)
-            movers = movers[np.argsort(new_key[movers], kind="stable")]
-            stay_keys = new_key[stay]
-            mover_keys = new_key[movers]
-            merged = np.empty(self._order.shape[0], dtype=np.int64)
-            # Stable two-sorted-array merge; survivors go first within a
-            # tied key (side defaults keep stay < movers), which is all
-            # the sweep needs — any key-sorted order is valid.
-            merged[np.arange(stay.shape[0], dtype=np.int64)
-                   + np.searchsorted(mover_keys, stay_keys)] = stay
-            merged[np.arange(movers.shape[0], dtype=np.int64)
-                   + np.searchsorted(stay_keys, mover_keys, side="right")] = movers
-            self._order = merged
-        self._pts = pts
-        self._key = new_key
-        return moved
-
-    def delta_pairs(
-        self, radius: float, moved: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All in-range pairs with >= 1 moved endpoint, each exactly once.
-
-        Runs the half-stencil sweep with the *source* role restricted to
-        cells that are dirty (contain a moved point) or have a dirty cell
-        in their forward stencil — every qualifying pair is generated from
-        exactly one side, as in the full sweep.  Cells nobody moved in or
-        near are never touched.
-        """
-        if radius > self._cell_size + 1e-12:
-            raise GeometryError(
-                f"query radius {radius} exceeds grid cell size {self._cell_size}"
-            )
-        empty = np.empty(0, dtype=np.int64)
-        if not moved.any():
-            return empty, empty
-        order = self._order
-        skey = self._key[order]
-        n = order.shape[0]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(skey[1:], skey[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        unique_keys = skey[starts]
-        counts = np.diff(np.append(starts, n))
-        # Source cells: a pair (s, t) is emitted while sweeping s's cell,
-        # with t's cell at one of the five forward offsets.  The pair has
-        # a moved endpoint in cell D iff s's cell is D itself (offset 0)
-        # or D minus a forward offset — so sweep the dirty cells dilated
-        # backwards through the stencil.
-        dirty = _sorted_unique(self._key[moved])
-        src_keys = _sorted_unique((dirty[None, :] - self._STEPS[:, None]).ravel())
-        pos = np.searchsorted(unique_keys, src_keys)
-        pos_c = np.minimum(pos, unique_keys.shape[0] - 1)
-        src_cells = pos_c[unique_keys[pos_c] == src_keys]
-        # Sweep points of the source cells exactly like ``pair_arrays``,
-        # in cell-sorted space.
-        p = grouped_ranges(starts[src_cells], counts[src_cells])
-        nbr_key = (skey[p][None, :] + self._STEPS[:, None]).ravel()
-        pos = np.searchsorted(unique_keys, nbr_key)
-        pos_c = np.minimum(pos, unique_keys.shape[0] - 1)
-        valid = unique_keys[pos_c] == nbr_key
-        cnt = np.where(valid, counts[pos_c], 0)
-        s_rep = np.repeat(np.tile(p, 5), cnt)
-        t_cand = grouped_ranges(np.where(valid, starts[pos_c], 0), cnt)
-        m0 = int(cnt[: p.shape[0]].sum())
-        close = np.empty(s_rep.shape[0], dtype=bool)
-        np.less(s_rep[:m0], t_cand[:m0], out=close[:m0])
-        close[m0:] = True
-        sx = self._pts[order, 0]
-        sy = self._pts[order, 1]
-        ddx = sx[s_rep] - sx[t_cand]
-        ddy = sy[s_rep] - sy[t_cand]
-        close &= ddx * ddx + ddy * ddy < radius * radius
-        us, vs = order[s_rep[close]], order[t_cand[close]]
-        touched = moved[us] | moved[vs]
-        return us[touched], vs[touched]
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted unique cell keys via stable (radix) sort + boundary mask.
-
-    Sidesteps the hash-table path of ``np.unique``, whose fixed overhead
-    dominates on the per-tick dirty-cell key sets.
-    """
-    if values.shape[0] <= 1:
-        return np.sort(values)
-    out = np.sort(values, kind="stable")
-    keep = np.empty(out.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
-
-
 def grouped_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(starts[k], starts[k] + counts[k])`` for all ``k``.
 

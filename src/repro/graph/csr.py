@@ -17,7 +17,7 @@ bit-identical results against the set-based implementation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -368,68 +368,6 @@ def csr_from_positions(
     return CSRGraph.from_pairs(n, us, vs, ids=ids)
 
 
-def apply_edge_delta(
-    csr: CSRGraph,
-    added: np.ndarray,
-    removed: np.ndarray,
-) -> CSRGraph:
-    """A new :class:`CSRGraph` with an undirected edge delta applied.
-
-    The mobility maintenance hot path: instead of re-running the whole
-    cell sweep after a tick, the per-tick appeared/vanished edges are
-    merged into the existing adjacency.  Removals become one vectorised
-    membership mask over the sorted directed-key stream; insertions merge
-    in with two ``searchsorted`` passes (the classic two-sorted-array
-    merge), so no per-row Python work happens and rows without a changed
-    edge are a straight memcpy.
-
-    Args:
-        csr: The current adjacency.
-        added: Sorted unique canonical keys ``u * n + v`` (``u < v``, CSR
-            rows) of edges to insert; none may already exist.
-        removed: Sorted unique canonical keys of edges to delete; all must
-            exist.
-
-    Returns:
-        The updated graph (ids carried over unchanged).
-
-    Raises:
-        GeometryError: if an added edge already exists or a removed edge
-            does not — a corrupted delta would otherwise silently produce
-            an adjacency that no longer matches any position snapshot.
-    """
-    n = csr.num_nodes
-    added = np.asarray(added, dtype=np.int64)
-    removed = np.asarray(removed, dtype=np.int64)
-    if added.shape[0] == 0 and removed.shape[0] == 0:
-        return csr
-    old = csr.edge_keys()
-    # Both directions of every undirected delta edge, as sorted directed
-    # keys in the same ``src * n + dst`` space as ``edge_keys``.
-    add_dir = np.sort(
-        np.concatenate([(added // n) * n + added % n,
-                        (added % n) * n + added // n])
-    )
-    rem_dir = np.sort(
-        np.concatenate([(removed // n) * n + removed % n,
-                        (removed % n) * n + removed // n])
-    )
-    if not searchsorted_membership(old, rem_dir).all():
-        raise GeometryError("edge delta removes a non-existent edge")
-    if searchsorted_membership(old, add_dir).any():
-        raise GeometryError("edge delta adds an already-present edge")
-    kept = old[~searchsorted_membership(rem_dir, old)]
-    merged = np.empty(kept.shape[0] + add_dir.shape[0], dtype=np.int64)
-    merged[np.arange(kept.shape[0], dtype=np.int64)
-           + np.searchsorted(add_dir, kept)] = kept
-    merged[np.arange(add_dir.shape[0], dtype=np.int64)
-           + np.searchsorted(kept, add_dir)] = add_dir
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(merged // n, minlength=n), out=indptr[1:])
-    return CSRGraph(indptr, merged % n, ids=None if csr.has_identity_ids
-                    else csr.ids)
-
-
 # -- segment primitives shared by the array kernels ------------------------
 
 
@@ -447,19 +385,6 @@ def row_reduce_min(
     total = int(offsets[-1])
     padded = np.append(vals, empty)
     out = np.minimum.reduceat(padded, np.minimum(offsets[:-1], total))
-    out[offsets[1:] == offsets[:-1]] = empty
-    return out
-
-
-def row_reduce_max(
-    vals: np.ndarray, offsets: np.ndarray, empty: int
-) -> np.ndarray:
-    """Per-group maximum of ``vals`` split at ``offsets`` (CSR-style)."""
-    if offsets.shape[0] == 1:
-        return np.empty(0, dtype=vals.dtype if vals.size else np.int64)
-    total = int(offsets[-1])
-    padded = np.append(vals, empty)
-    out = np.maximum.reduceat(padded, np.minimum(offsets[:-1], total))
     out[offsets[1:] == offsets[:-1]] = empty
     return out
 

@@ -7,6 +7,13 @@ model, re-derive clustering/backbone each tick, and account the churn —
 role flips, head reassignments, gateway turnover and the number of
 clusterheads whose coverage sets changed (i.e. how much of the CH_HOP /
 GATEWAY signalling would have to be repeated).
+
+Two routes compute the same ticks: :class:`MobilitySession` rebuilds the
+object layer (dict/set graphs) from scratch, and above the CSR cutover it
+hands each tick to :class:`KernelMobilitySession`, which rebuilds the
+graph, coverage and gateway selection as arrays and repairs only the
+clustering from the changed edges.  The object route is the oracle the
+kernel route is tested against, tick for tick.
 """
 
 from repro.maintenance.stability import (

@@ -69,12 +69,13 @@ class MobilitySession:
         policy: Coverage policy for the maintained static backbone.
         kernel: Run the per-tick maintenance through the array-native
             :class:`~repro.maintenance.kernels.KernelMobilitySession`
-            (incremental grid re-binning, CSR edge-delta repair, masked
-            coverage/selection recompute), materialising the same
-            per-tick networks, structures, backbones and churn reports.
-            ``None`` (the default) auto-enables it above the CSR cutover
-            for the 2.5-hop policy.  ``False`` forces the from-scratch
-            object-layer rebuild, the oracle the kernel is tested against.
+            (CSR graph rebuild and edge-key diff, lowest-ID repair, full
+            coverage and selection recompute on arrays), materialising the
+            same per-tick networks, structures, backbones and churn
+            reports.  ``None`` (the default) enables it from the CSR
+            cutover up, for either policy.  ``False`` forces the
+            from-scratch object-layer rebuild, the oracle the kernel is
+            tested against.
     """
 
     def __init__(
@@ -91,10 +92,7 @@ class MobilitySession:
         self.time = 0.0
         self._ids = network.graph.nodes()
         if kernel is None:
-            kernel = (
-                network.num_nodes >= CSR_CUTOVER
-                and policy is CoveragePolicy.TWO_FIVE_HOP
-            )
+            kernel = network.num_nodes >= CSR_CUTOVER
         self.kernel = bool(kernel)
         self._kernel_session = None
         if self.kernel:

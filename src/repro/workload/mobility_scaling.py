@@ -5,8 +5,9 @@ backbone fresh is costly" argument, but the object-layer
 :class:`~repro.maintenance.session.MobilitySession` tops out around a few
 thousand nodes.  This study drives the array-native
 :class:`~repro.maintenance.kernels.KernelMobilitySession` instead —
-vectorised waypoint stepping, incremental grid re-binning, CSR edge-delta
-repair — and measures, for fixed average degree and growing n:
+vectorised waypoint stepping, a CSR rebuild with an edge-key diff,
+lowest-ID repair and array coverage/selection — and measures, for fixed
+average degree and growing n:
 
 * maintenance throughput (ticks per second) and the per-tick split across
   the step / delta / repair kernel stages;

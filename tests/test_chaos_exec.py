@@ -3,13 +3,15 @@
 These drive ``tests/chaos_exec.py`` as a real subprocess — the parent
 process of a journaled run dies with ``SIGKILL`` (no atexit, no flushing
 grace) and a resumed invocation must finish with estimates byte-identical
-to an undisturbed reference run.  Subprocess startup makes them slow, so
+to an undisturbed reference run; and the process pool of a SIGKILLed
+parent must not outlive it.  Subprocess startup makes them slow, so
 the whole module is ``slow``-marked and runs in the ``make chaos`` /
 CI ``chaos-smoke`` lane rather than the default suite.
 """
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -157,3 +159,67 @@ class TestExternalKillResume:
             "--resume", "--out", str(out),
         )
         assert out.read_bytes() == reference
+
+
+# Starts a two-worker pool, runs one wave so both workers exist, prints
+# their pids and SIGKILLs itself: the pool never gets shut down.
+ORPHAN_CHILD = """
+import os, signal
+import numpy as np
+from chaos_exec import noise_spec
+from repro.exec.backends import ProcessBackend
+
+backend = ProcessBackend(2)
+backend.run_wave(noise_spec(0.0, m=1.0), 0, np.random.SeedSequence(0).spawn(4))
+print(*sorted(p.pid for p in backend._pool._processes.values()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie nobody reaped yet counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestOrphanedWorkers:
+    """Pool workers end soon after their parent is SIGKILLed."""
+
+    def test_workers_exit_when_parent_is_killed(self):
+        env = driver_env()
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(DRIVER.parent), env["PYTHONPATH"]])
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_CHILD],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+        pids = []
+        try:
+            # Read the pid line only: orphans that outlive the parent keep
+            # the pipe open, so waiting for EOF would hang.
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "child never reported its worker pids"
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_alive, pids)):
+                time.sleep(0.1)
+            assert not [p for p in pids if _alive(p)], \
+                "pool workers outlived their SIGKILLed parent"
+        finally:
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()

@@ -16,7 +16,6 @@ from repro.graph.csr import (
     CSRGraph,
     csr_from_positions,
     grouped_cartesian,
-    row_reduce_max,
     row_reduce_min,
     searchsorted_membership,
     sort_quads,
@@ -145,11 +144,10 @@ class TestFromPositions:
 
 
 class TestSegmentPrimitives:
-    def test_row_reduce_min_max_with_empty_groups(self):
+    def test_row_reduce_min_with_empty_groups(self):
         vals = np.array([4, 2, 9, 1])
         offsets = np.array([0, 2, 2, 4])
         assert row_reduce_min(vals, offsets, empty=99).tolist() == [2, 99, 1]
-        assert row_reduce_max(vals, offsets, empty=-1).tolist() == [4, -1, 9]
 
     def test_grouped_cartesian(self):
         grp, a, b = grouped_cartesian(np.array([2, 0, 1]), np.array([1, 3, 2]))

@@ -149,8 +149,9 @@ class TestAdverseMaintenance:
     def make_sessions(self, rows, seed=17, n=30):
         """A full-recompute and an incremental-repair session over one motion.
 
-        The incremental side is the array kernel session, whose per-tick
-        edge-delta repair is the library's incremental route.
+        The incremental side is the array kernel session: it rebuilds the
+        graph and backbone arrays each tick but repairs the clustering
+        from the changed edges only (``repair_lowest_id_rows``).
         """
         net = random_geometric_network(n, 10.0, rng=seed)
         order = net.graph.nodes()
