@@ -83,24 +83,25 @@ def select_gateways(
         BackboneError: if some target has no witness (cannot happen for
             coverage sets produced by this library; guards corrupted input).
     """
-    if targets is None:
-        cov = coverage
-    else:
-        cov = coverage.restricted(frozenset(targets))
+    c2, c3 = coverage.c2, coverage.c3
+    if targets is not None:
+        # The obligations of ``coverage.restricted(targets)``, unbuilt.
+        targets = frozenset(targets)
+        c2, c3 = c2 & targets, c3 & targets
 
-    remaining2: Set[NodeId] = set(cov.c2)
-    remaining3: Set[NodeId] = set(cov.c3)
+    remaining2: Set[NodeId] = set(c2)
+    remaining3: Set[NodeId] = set(c3)
     gateways: Set[NodeId] = set()
     connectors: Dict[NodeId, Tuple[NodeId, ...]] = {}
 
-    # Invert the witness maps around candidate first-hop neighbours.
+    # Invert the targets' witness maps around candidate first-hop neighbours.
     direct_of: Dict[NodeId, Set[NodeId]] = {}
-    for ch, vs in cov.direct_witnesses.items():
-        for v in vs:
+    for ch in c2:
+        for v in coverage.direct_witnesses[ch]:
             direct_of.setdefault(v, set()).add(ch)
     indirect_of: Dict[NodeId, Dict[NodeId, Set[NodeId]]] = {}
-    for ch, pairs in cov.indirect_witnesses.items():
-        for v, w in pairs:
+    for ch in c3:
+        for v, w in coverage.indirect_witnesses[ch]:
             indirect_of.setdefault(v, {}).setdefault(ch, set()).add(w)
 
     # Hoisted once: the C3 targets each first-hop candidate can absorb.
@@ -122,8 +123,8 @@ def select_gateways(
                 best_v, best_key = v, key
         if best_v is None:
             raise BackboneError(
-                f"head {cov.head}: 2-hop targets {sorted(remaining2)} have no "
-                f"remaining witness"
+                f"head {coverage.head}: 2-hop targets {sorted(remaining2)} "
+                f"have no remaining witness"
             )
         gateways.add(best_v)
         for ch in direct_of[best_v] & remaining2:
@@ -139,7 +140,7 @@ def select_gateways(
     # Phase 2: cover the leftover C3 targets with relay pairs, preferring
     # pairs that reuse already-selected gateways.
     for ch in sorted(remaining3):
-        pairs = cov.indirect_witnesses[ch]
+        pairs = coverage.indirect_witnesses[ch]
 
         def pair_cost(pair: Tuple[NodeId, NodeId]) -> Tuple[int, NodeId, NodeId]:
             v, w = pair
@@ -152,7 +153,7 @@ def select_gateways(
         connectors[ch] = (v, w)
 
     return GatewaySelection(
-        head=cov.head,
+        head=coverage.head,
         gateways=frozenset(gateways),
         connectors=connectors,
     )

@@ -174,7 +174,7 @@ def broadcast_sd(
         targets = cov.all_targets - excl
         selection = select_gateways(cov, targets)
         forward_sets[head] = selection.gateways
-        pruned_targets[head] = frozenset(targets)
+        pruned_targets[head] = targets
         transmit(
             time,
             head,

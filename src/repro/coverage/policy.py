@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro import perf
 from repro.cluster.state import ClusterStructure
 from repro.coverage.arrays import CoverageArrays
 from repro.coverage.entries import CoverageSet
-from repro.coverage.three_hop import three_hop_arrays, three_hop_coverage
+from repro.coverage.three_hop import coverage_pair, three_hop_arrays, three_hop_coverage
 from repro.coverage.two_five_hop import two_five_hop_arrays, two_five_hop_coverage
 from repro.graph.csr import CSR_CUTOVER
 from repro.types import CoveragePolicy, NodeId
@@ -81,3 +81,16 @@ def compute_all_coverage_sets(
         h: compute_coverage_set(structure, h, policy, view=view)
         for h in structure.sorted_heads()
     }
+
+
+@perf.timed("coverage")
+def compute_all_coverage_pairs(
+    structure: ClusterStructure,
+) -> Tuple[Dict[NodeId, CoverageSet], Dict[NodeId, CoverageSet]]:
+    """``(two_five_hop, three_hop)``: what :func:`compute_all_coverage_sets`
+    returns for each policy, from one walk per head
+    (:func:`~repro.coverage.three_hop.coverage_pair`)."""
+    two_five, three = {}, {}
+    for h in structure.sorted_heads():
+        two_five[h], three[h] = coverage_pair(structure, h)
+    return two_five, three

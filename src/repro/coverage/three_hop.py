@@ -13,13 +13,13 @@ the tests verify.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.state import ClusterStructure
 from repro.coverage.arrays import CoverageArrays
-from repro.coverage.entries import CoverageSet, WitnessPair, freeze_witnesses
+from repro.coverage.entries import CoverageSet, WitnessPair
 from repro.errors import CoverageError
 from repro.graph.csr import (
     CSRGraph,
@@ -38,69 +38,99 @@ if TYPE_CHECKING:
 _HEAD_CHUNK = 1024
 
 
-def three_hop_coverage(
+def coverage_pair(
     structure: ClusterStructure,
     head: NodeId,
     *,
     view: Optional["TopologyView"] = None,
-) -> CoverageSet:
-    """Compute clusterhead ``head``'s 3-hop coverage set.
+) -> Tuple[CoverageSet, CoverageSet]:
+    """Clusterhead ``head``'s 2.5-hop and 3-hop coverage sets, one walk.
+
+    One depth-3 BFS from ``head`` yields the 3-hop set.  The 2.5-hop set
+    shares its ``C2`` and direct witnesses; its ``C3`` keeps each 3-hop
+    target ``ch`` with a witness pair ``(v, w)`` whose ``w`` is a member of
+    ``ch``, and keeps exactly those pairs — the entries ``ch[w]`` that the
+    CH_HOP1/CH_HOP2 exchange delivers.  DESIGN.md §1 proves this for
+    independent clusterheads, which every clustering the library builds
+    has; coverage of a hand-made :class:`ClusterStructure` with adjacent
+    heads (which :func:`repro.cluster.validate.validate_cluster_structure`
+    rejects) is undefined.
 
     Args:
         structure: A finished clustering of the network.
-        head: The clusterhead whose coverage set to build.
+        head: The clusterhead whose coverage sets to build.
         view: Topology view to serve the neighbourhood queries (must wrap a
             graph equal to ``structure.graph``).  Defaults to the
             structure's shared view, so repeated coverage builds over one
             clustering reuse each other's BFS work.
 
     Returns:
-        The :class:`~repro.coverage.entries.CoverageSet` with witnesses.
+        The ``(two_five_hop, three_hop)`` coverage sets, with witnesses.
 
     Raises:
         CoverageError: if ``head`` is not a clusterhead.
     """
+    view, dist, direct = _walk(structure, head, view, 3)
+    return (_coverage_set(head, CoveragePolicy.TWO_FIVE_HOP, direct,
+                          _member_witnesses(structure, view, head, dist)),
+            _coverage_set(head, CoveragePolicy.THREE_HOP, direct,
+                          _path_witnesses(structure, view, head, dist)))
+
+
+def three_hop_coverage(
+    structure: ClusterStructure,
+    head: NodeId,
+    *,
+    view: Optional["TopologyView"] = None,
+) -> CoverageSet:
+    """Compute clusterhead ``head``'s 3-hop coverage set: the second half
+    of :func:`coverage_pair` without the 2.5-hop filter (same arguments,
+    same :class:`CoverageError`)."""
+    view, dist, direct = _walk(structure, head, view, 3)
+    return _coverage_set(head, CoveragePolicy.THREE_HOP, direct,
+                         _path_witnesses(structure, view, head, dist))
+
+
+def _walk(structure, head, view, depth):
+    """The view walked (the structure's by default), ``head``'s hop
+    distances up to ``depth``, and ``C2`` with its direct witnesses."""
     heads = structure.clusterheads
     if head not in heads:
         raise CoverageError(f"node {head} is not a clusterhead")
     if view is None:
         view = structure.topology
-    dist = view.distances_within(head, 3)
+    dist = view.distances_within(head, depth)
+    direct = {ch: view.common_neighbours(ch, head)
+              for ch, d in dist.items() if d == 2 and ch in heads}
+    return view, dist, direct
 
-    c2: Set[NodeId] = set()
-    direct: Dict[NodeId, Set[NodeId]] = {}
-    c3: Set[NodeId] = set()
-    indirect: Dict[NodeId, Set[WitnessPair]] = {}
 
-    for node, d in dist.items():
-        if node not in heads or node == head:
-            continue
-        if d == 2:
-            c2.add(node)
-        elif d == 3:
-            c3.add(node)
-        # d == 1 is impossible: clusterheads form an independent set.
+def _path_witnesses(structure, view, head, dist):
+    """3-hop ``C3``: every relay pair ``(v, w)`` of each distance-3 head."""
+    heads = structure.clusterheads
+    return {
+        ch: frozenset((v, w) for w in view.neighbours(ch) if dist.get(w) == 2
+                      for v in view.common_neighbours(w, head))
+        for ch, d in dist.items() if d == 3 and ch in heads
+    }
 
-    for ch in c2:
-        direct[ch] = set(view.common_neighbours(ch, head))
-    for ch in c3:
-        pairs: Set[WitnessPair] = set()
-        for w in view.neighbours(ch):
-            if dist.get(w) != 2:
-                continue
-            for v in view.common_neighbours(w, head):
-                pairs.add((v, w))
-        indirect[ch] = pairs
 
-    dfz, ifz = freeze_witnesses(direct, indirect)
-    return CoverageSet(
-        head=head,
-        policy=CoveragePolicy.THREE_HOP,
-        c2=frozenset(c2),
-        c3=frozenset(c3),
-        direct_witnesses=dfz,
-        indirect_witnesses=ifz,
-    )
+def _member_witnesses(structure, view, head, dist):
+    """2.5-hop ``C3``: relay pairs ``(v, w)`` with ``w`` a distance-2 member
+    of a distance-3 head (which a depth-2 ``dist`` lacks), by that head."""
+    head_of = structure.head_of
+    pairs: Dict[NodeId, List[WitnessPair]] = {}
+    for w, d in dist.items():
+        if d == 2 and (ch := head_of[w]) != w and dist.get(ch, 3) == 3:
+            pairs.setdefault(ch, []).extend(
+                (v, w) for v in view.common_neighbours(w, head))
+    return {ch: frozenset(p) for ch, p in pairs.items()}
+
+
+def _coverage_set(head, policy, direct, indirect) -> CoverageSet:
+    return CoverageSet(head=head, policy=policy, c2=frozenset(direct),
+                       c3=frozenset(indirect), direct_witnesses=direct,
+                       indirect_witnesses=indirect)
 
 
 def three_hop_arrays(csr: CSRGraph, head_row: np.ndarray) -> CoverageArrays:

@@ -1,7 +1,6 @@
 """The 2.5-hop coverage set (CH_HOP1 / CH_HOP2 semantics).
 
-This module computes, centrally, exactly what the paper's message exchange
-gives a clusterhead ``u``:
+The paper's message exchange gives a clusterhead ``u`` its set as follows:
 
 * every non-clusterhead ``v`` broadcasts ``CH_HOP1(v)`` — its 1-hop
   neighbouring clusterheads;
@@ -16,20 +15,25 @@ node 5's 2-hop neighbor clusterhead set"): CH_HOP2 entries carry only the
 *clusterhead of the announcing member* — a distance-3 clusterhead enters the
 2.5-hop set only when one of its own members sits within ``N^2(u)``.
 
-The distributed implementation in :mod:`repro.protocols.coverage` is
-property-tested to agree with this function.
+Centrally, that is the 3-hop set with ``C3`` cut down to the witness pairs
+``(v, w)`` whose ``w`` is a member of the target (DESIGN.md §1), so
+:func:`two_five_hop_coverage` shares the 3-hop walk's code, and
+:func:`~repro.coverage.three_hop.coverage_pair` builds both sets from one
+walk.  The literal CH_HOP1/CH_HOP2 walk is the test suite's oracle; the
+batched :func:`two_five_hop_arrays` and the distributed implementation in
+:mod:`repro.protocols.coverage` are property-tested against it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.cluster.state import ClusterStructure
 from repro.coverage.arrays import CoverageArrays
-from repro.coverage.entries import CoverageSet, WitnessPair, freeze_witnesses
-from repro.errors import CoverageError
+from repro.coverage.entries import CoverageSet
+from repro.coverage.three_hop import _coverage_set, _member_witnesses, _walk
 from repro.graph.csr import (
     CSRGraph,
     grouped_cartesian,
@@ -49,74 +53,12 @@ def two_five_hop_coverage(
     *,
     view: Optional["TopologyView"] = None,
 ) -> CoverageSet:
-    """Compute clusterhead ``head``'s 2.5-hop coverage set.
-
-    Args:
-        structure: A finished clustering of the network.
-        head: The clusterhead whose coverage set to build.
-        view: Topology view to serve the neighbourhood queries (must wrap a
-            graph equal to ``structure.graph``).  Defaults to the
-            structure's shared view.
-
-    Returns:
-        The :class:`~repro.coverage.entries.CoverageSet` with witnesses.
-
-    Raises:
-        CoverageError: if ``head`` is not a clusterhead.
-    """
-    # Membership in the cached head set is ``is_clusterhead`` without a
-    # method call per test (the loops below run millions of them).
-    heads = structure.clusterheads
-    head_of = structure.head_of
-    if head not in heads:
-        raise CoverageError(f"node {head} is not a clusterhead")
-    if view is None:
-        view = structure.topology
-
-    c2: Set[NodeId] = set()
-    direct: Dict[NodeId, Set[NodeId]] = {}
-    # C2(u): union of CH_HOP1(v) over u's neighbours v, minus u itself.
-    # (All neighbours of a clusterhead are non-clusterheads, so each really
-    # does send a CH_HOP1.)
-    for v in view.neighbours(head):
-        for ch in view.neighbours(v):
-            if ch not in heads or ch == head:
-                continue
-            c2.add(ch)
-            direct.setdefault(ch, set()).add(v)
-
-    c3: Set[NodeId] = set()
-    indirect: Dict[NodeId, Set[WitnessPair]] = {}
-    # C3(u): union of CH_HOP2(v) entries.  v's CH_HOP2 holds head(w)[w] for
-    # each non-clusterhead neighbour w whose own head is not adjacent to v.
-    for v in view.neighbours(head):
-        nv = view.neighbours(v)
-        for w in nv:
-            if w in heads:
-                continue  # CH_HOP1 of clusterheads does not exist
-            ch = head_of[w]
-            if ch in nv:
-                continue  # v ignores entries whose head it already neighbours
-            if ch == head:
-                continue  # defensive; implied by the previous test since v ~ head
-            c3.add(ch)
-            indirect.setdefault(ch, set()).add((v, w))
-
-    # "If a clusterhead appears in both C2(u) and C3(u), the one in C3(u) is
-    # removed."
-    for ch in c2:
-        c3.discard(ch)
-        indirect.pop(ch, None)
-
-    dfz, ifz = freeze_witnesses(direct, indirect)
-    return CoverageSet(
-        head=head,
-        policy=CoveragePolicy.TWO_FIVE_HOP,
-        c2=frozenset(c2),
-        c3=frozenset(c3),
-        direct_witnesses=dfz,
-        indirect_witnesses=ifz,
-    )
+    """Compute clusterhead ``head``'s 2.5-hop coverage set: the first half
+    of :func:`~repro.coverage.three_hop.coverage_pair` (same arguments,
+    error and precondition), read off a depth-2 BFS."""
+    view, dist, direct = _walk(structure, head, view, 2)
+    return _coverage_set(head, CoveragePolicy.TWO_FIVE_HOP, direct,
+                         _member_witnesses(structure, view, head, dist))
 
 
 def two_five_hop_arrays(csr: CSRGraph, head_row: np.ndarray) -> CoverageArrays:

@@ -11,7 +11,10 @@ random stream is derived from the key alone (not from any experiment's
 trial stream), so any two experiments that agree on the environment and
 trial index get the **same** connected sample — pairing across experiments,
 not just within one.  Derived structures that are pure functions of the
-graph (lowest-ID clustering) are memoized on the scenario as well.
+graph are memoized on the scenario and evicted with it: the lowest-ID
+clustering, the array route's kernel assets, and the figure drivers'
+static 2.5-hop, static 3-hop and MO_CDS node sets.  Coverage sets are not
+kept: they cost more memory than their once-per-trial rebuild costs time.
 
 Sharing contract: cached :class:`~repro.graph.network.Network` objects (and
 their clusterings) are handed to many trials — treat them as immutable, as
@@ -28,7 +31,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from repro.cluster.state import ClusterStructure
 from repro.errors import ConfigurationError
 from repro.geometry.area import Area
 from repro.graph.network import Network
+from repro.types import NodeId
 
 #: Default bound on cached scenarios (override with the
 #: ``REPRO_SCENARIO_CACHE_SIZE`` environment variable; 0 disables caching).
@@ -86,7 +90,7 @@ class ScenarioKey:
 class Scenario:
     """One cached sample: the network plus memoized derived structures."""
 
-    __slots__ = ("network", "_clustering", "_kernel_assets")
+    __slots__ = ("network", "_clustering", "_kernel_assets", "_backbone_nodes")
 
     def __init__(self, network: Network) -> None:
         self.network = network
@@ -94,6 +98,8 @@ class Scenario:
         # Lazily populated by repro.broadcast.kernels.scenario_assets —
         # typed as object to keep this module free of broadcast imports.
         self._kernel_assets: Optional[object] = None
+        # Static 2.5-hop, static 3-hop and MO_CDS node sets (figure drivers).
+        self._backbone_nodes: Optional[Tuple[FrozenSet[NodeId], ...]] = None
 
     @property
     def clustering(self) -> ClusterStructure:

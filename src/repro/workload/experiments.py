@@ -14,15 +14,17 @@ Series labels are stable strings the tests and EXPERIMENTS.md key on:
 Network samples come from the cross-experiment scenario cache
 (:mod:`repro.exec.scenarios`), keyed by ``(env.seed, d, n, trial index)``
 alone — so every figure driver sees the *same* connected sample (and shares
-its memoized clustering) at the same environment point, and only the
-figure's own randomness (the broadcast source) comes from its trial stream.
+its memoized clustering and static/MO_CDS backbone node sets) at the same
+environment point, and only the figure's own randomness (the broadcast
+source) comes from its trial stream.  A trial that needs coverage sets
+builds both policies' sets in one walk per clusterhead.
 Trials are described by picklable :class:`~repro.exec.spec.TrialSpec`\\ s, so
 any driver runs on the ``process`` backend unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +34,13 @@ from repro.broadcast import kernels
 from repro.broadcast.flooding import blind_flooding
 from repro.broadcast.sd_cds import broadcast_sd
 from repro.broadcast.si_cds import broadcast_si
-from repro.cluster.state import ClusterStructure
+from repro.coverage.entries import CoverageSet
+from repro.coverage.policy import compute_all_coverage_pairs
 from repro.errors import ConfigurationError
 from repro.exec.backends import BackendLike
 from repro.exec.journal import RunJournal
-from repro.exec.scenarios import connected_scenario
+from repro.exec.scenarios import Scenario, connected_scenario
 from repro.exec.spec import IndexedTrialFn, TrialSpec
-from repro.graph.network import Network
 from repro.metrics.series import ExperimentSeries, SeriesTable
 from repro.rng import spawn
 from repro.types import CoveragePolicy, NodeId, PruningLevel
@@ -53,10 +55,14 @@ DYNAMIC_3 = "dynamic[3-hop]"
 MO_CDS = "mo-cds"
 FLOODING = "flooding"
 
-#: One trial's measurement given the sampled network, clustering and source.
-SampleMetricsFn = Callable[
-    [Network, ClusterStructure, NodeId], Mapping[str, float]
-]
+#: One trial's measurement given the cached scenario and the source.
+SampleMetricsFn = Callable[[Scenario, NodeId], Mapping[str, float]]
+
+#: Per-head coverage sets of both policies: ``(2.5-hop, 3-hop)``.
+CoveragePair = Tuple[Dict[NodeId, CoverageSet], Dict[NodeId, CoverageSet]]
+
+#: The source-independent backbones memoised per scenario, in memo order.
+_STATIC_LABELS = (STATIC_25, STATIC_3, MO_CDS)
 
 
 #: Registry of figure metric functions, addressable by name so a
@@ -104,9 +110,8 @@ def make_figure_trial(
         scenario = connected_scenario(
             n, degree, area=area, root=scenario_root, index=index
         )
-        net = scenario.network
-        source = int(gen.choice(net.graph.nodes()))
-        return metrics_fn(net, scenario.clustering, source)
+        source = int(gen.choice(scenario.network.graph.nodes()))
+        return metrics_fn(scenario, source)
 
     batch_fn = _BATCH_METRICS.get(metrics)
     if batch_fn is not None and n >= kernels.KERNEL_CUTOVER:
@@ -190,18 +195,54 @@ def _run_figure(
     return tables
 
 
-def _fig6_metrics(net: Network, clustering: ClusterStructure,
-                  source: NodeId) -> Mapping[str, float]:
+def _backbone_nodes(
+    scenario: Scenario, coverage: Optional[CoveragePair] = None
+) -> Tuple[FrozenSet[NodeId], ...]:
+    """The scenario's node sets of :data:`_STATIC_LABELS`, memoised on it.
+
+    ``coverage`` is the trial's :func:`compute_all_coverage_pairs` result,
+    when it has one.  A benign race mirrors ``Scenario.clustering``.
+    """
+    nodes = scenario._backbone_nodes
+    if nodes is None:
+        cs = scenario.clustering
+        cov25, cov3 = coverage or compute_all_coverage_pairs(cs)
+        nodes = (
+            build_static_backbone(cs, CoveragePolicy.TWO_FIVE_HOP, cov25).nodes,
+            build_static_backbone(cs, CoveragePolicy.THREE_HOP, cov3).nodes,
+            build_mo_cds(cs, cov3).nodes,
+        )
+        scenario._backbone_nodes = nodes
+    return nodes
+
+
+def _forward_counts(scenario: Scenario, source: NodeId,
+                    labels: Tuple[str, ...]) -> Dict[str, float]:
+    """Forward-node counts of the labelled broadcasts from ``source``: SD
+    over both policies' coverage (one walk), SI over the memoised sets."""
+    cs = scenario.clustering
+    coverage = compute_all_coverage_pairs(cs)
+    static = dict(zip(_STATIC_LABELS, _backbone_nodes(scenario, coverage)))
+    dynamic = {DYNAMIC_25: (CoveragePolicy.TWO_FIVE_HOP, coverage[0]),
+               DYNAMIC_3: (CoveragePolicy.THREE_HOP, coverage[1])}
+    out: Dict[str, float] = {}
+    for label in labels:
+        if label in static:
+            result = broadcast_si(cs.topology, static[label], source)
+        else:
+            policy, sets = dynamic[label]
+            result = broadcast_sd(cs, source, policy=policy, coverage_sets=sets,
+                                  pruning=PruningLevel.FULL).result
+        out[label] = float(result.num_forward_nodes)
+    return out
+
+
+def _fig6_metrics(scenario: Scenario, source: NodeId) -> Mapping[str, float]:
     """Average CDS sizes (source unused: the CDSs are source-independent)."""
     del source
-    static3 = build_static_backbone(clustering, CoveragePolicy.THREE_HOP)
     return {
-        STATIC_25: float(
-            build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP).size
-        ),
-        STATIC_3: float(static3.size),
-        # MO_CDS runs on the same 3-hop coverage sets: reuse them.
-        MO_CDS: float(build_mo_cds(clustering, static3.coverage_sets).size),
+        label: float(len(nodes))
+        for label, nodes in zip(_STATIC_LABELS, _backbone_nodes(scenario))
     }
 
 
@@ -226,24 +267,9 @@ def run_fig6(
     )
 
 
-def _fig7_metrics(net: Network, clustering: ClusterStructure,
-                  source: NodeId) -> Mapping[str, float]:
+def _fig7_metrics(scenario: Scenario, source: NodeId) -> Mapping[str, float]:
     """Forward-node-set sizes: dynamic backbone vs broadcasting on MO_CDS."""
-    mo = build_mo_cds(clustering)
-    dyn25 = broadcast_sd(
-        clustering, source, policy=CoveragePolicy.TWO_FIVE_HOP,
-        pruning=PruningLevel.FULL,
-    )
-    dyn3 = broadcast_sd(
-        clustering, source, policy=CoveragePolicy.THREE_HOP,
-        pruning=PruningLevel.FULL, coverage_sets=mo.coverage_sets,
-    )
-    mo_bc = broadcast_si(net.graph, mo, source)
-    return {
-        DYNAMIC_25: float(dyn25.result.num_forward_nodes),
-        DYNAMIC_3: float(dyn3.result.num_forward_nodes),
-        MO_CDS: float(mo_bc.num_forward_nodes),
-    }
+    return _forward_counts(scenario, source, (DYNAMIC_25, DYNAMIC_3, MO_CDS))
 
 
 _register_metrics("fig7", _fig7_metrics)
@@ -263,26 +289,11 @@ def run_fig7(
     )
 
 
-def _fig8_metrics(net: Network, clustering: ClusterStructure,
-                  source: NodeId) -> Mapping[str, float]:
+def _fig8_metrics(scenario: Scenario, source: NodeId) -> Mapping[str, float]:
     """Forward-node-set sizes: static vs dynamic backbones, both policies."""
-    static25 = build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP)
-    static3 = build_static_backbone(clustering, CoveragePolicy.THREE_HOP)
-    # The dynamic backbone selects over the same coverage sets: reuse them.
-    dyn25 = broadcast_sd(
-        clustering, source, policy=CoveragePolicy.TWO_FIVE_HOP,
-        pruning=PruningLevel.FULL, coverage_sets=static25.coverage_sets,
+    return _forward_counts(
+        scenario, source, (STATIC_25, STATIC_3, DYNAMIC_25, DYNAMIC_3)
     )
-    dyn3 = broadcast_sd(
-        clustering, source, policy=CoveragePolicy.THREE_HOP,
-        pruning=PruningLevel.FULL, coverage_sets=static3.coverage_sets,
-    )
-    return {
-        STATIC_25: float(broadcast_si(net.graph, static25, source).num_forward_nodes),
-        STATIC_3: float(broadcast_si(net.graph, static3, source).num_forward_nodes),
-        DYNAMIC_25: float(dyn25.result.num_forward_nodes),
-        DYNAMIC_3: float(dyn3.result.num_forward_nodes),
-    }
 
 
 _register_metrics("fig8", _fig8_metrics)
@@ -302,18 +313,13 @@ def run_fig8(
     )
 
 
-def _flooding_metrics(net: Network, clustering: ClusterStructure,
+def _flooding_metrics(scenario: Scenario,
                       source: NodeId) -> Mapping[str, float]:
     """Extension: blind flooding vs the paper's schemes (broadcast storm)."""
-    static25 = build_static_backbone(clustering, CoveragePolicy.TWO_FIVE_HOP)
-    dyn25 = broadcast_sd(
-        clustering, source, policy=CoveragePolicy.TWO_FIVE_HOP,
-        pruning=PruningLevel.FULL, coverage_sets=static25.coverage_sets,
-    )
+    flood = blind_flooding(scenario.network.graph, source)
     return {
-        FLOODING: float(blind_flooding(net.graph, source).num_forward_nodes),
-        STATIC_25: float(broadcast_si(net.graph, static25, source).num_forward_nodes),
-        DYNAMIC_25: float(dyn25.result.num_forward_nodes),
+        FLOODING: float(flood.num_forward_nodes),
+        **_forward_counts(scenario, source, (STATIC_25, DYNAMIC_25)),
     }
 
 

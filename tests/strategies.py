@@ -29,6 +29,21 @@ def connected_graphs(draw, min_nodes: int = 2, max_nodes: int = 24) -> Graph:
 
 
 @st.composite
+def arbitrary_graphs(draw, max_nodes: int = 24) -> Graph:
+    """Graphs that may be disconnected (isolated nodes included), with
+    non-contiguous, permuted node ids so id order and insertion order
+    differ."""
+    n = draw(st.integers(1, max_nodes))
+    ids = draw(st.permutations(range(3 * n)))[:n]
+    graph = Graph(nodes=ids)
+    index = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=3 * n)):
+        if a != b:
+            graph.add_edge(ids[a], ids[b])
+    return graph
+
+
+@st.composite
 def geometric_networks(draw, min_nodes: int = 5, max_nodes: int = 40):
     """Connected unit-disk networks drawn from the paper's environment."""
     n = draw(st.integers(min_nodes, max_nodes))

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backbone.gateway_selection import select_gateways
 from repro.cluster.lowest_id import lowest_id_clustering
@@ -10,7 +11,7 @@ from repro.coverage.policy import compute_coverage_set
 from repro.errors import BackboneError
 from repro.types import CoveragePolicy
 
-from strategies import connected_graphs
+from strategies import arbitrary_graphs, connected_graphs
 
 
 class TestFigure3Selections:
@@ -141,3 +142,22 @@ class TestProperties:
             cov = compute_coverage_set(cs, head, CoveragePolicy.THREE_HOP)
             sel = select_gateways(cov)
             assert not (sel.gateways & cs.clusterheads)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=arbitrary_graphs(), data=st.data())
+    def test_targets_equal_restricted_coverage(self, graph, data):
+        # Pruned selection reads the witnesses of ``c2 & targets`` and
+        # ``c3 & targets`` straight off the full set: it must agree with
+        # selecting over the restricted coverage set.  Drawn targets mix
+        # real ones with foreign ids (the head, non-heads, absent ids) and
+        # may be empty.
+        cs = lowest_id_clustering(graph)
+        absent = max(graph.nodes()) + 1
+        for head in cs.sorted_heads():
+            for policy in CoveragePolicy:
+                cov = compute_coverage_set(cs, head, policy)
+                pool = sorted(cov.all_targets | set(graph.nodes())) + [absent]
+                targets = data.draw(st.lists(st.sampled_from(pool),
+                                             unique=True))
+                assert select_gateways(cov, targets) == select_gateways(
+                    cov.restricted(frozenset(targets)))

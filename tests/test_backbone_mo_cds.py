@@ -1,11 +1,12 @@
 """Tests for the MO_CDS baseline."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.backbone.mo_cds import build_mo_cds
 from repro.backbone.static_backbone import build_static_backbone
 from repro.backbone.verify import verify_backbone
 from repro.cluster.lowest_id import lowest_id_clustering
+from repro.graph.generators import random_geometric_network
 from repro.graph.properties import is_connected_dominating_set
 from repro.types import CoveragePolicy
 
@@ -58,11 +59,30 @@ class TestComparisonWithStatic:
 
     @settings(max_examples=12, deadline=None)
     @given(net=geometric_networks())
-    def test_sizes_comparable_on_geometric(self, net):
-        # Figure 6's observation: similar sizes, static slightly better on
-        # average (greedy merging vs per-target picks).  Individual samples
-        # may wobble a little, hence the small slack.
+    # A sample where the greedy 3-hop backbone is 3 nodes larger than
+    # MO_CDS (15 vs 12): per-sample sizes carry no ordering.
+    @example(net=random_geometric_network(32, 14.0, rng=29563,
+                                          max_attempts=30_000))
+    def test_both_backbones_verify_on_geometric(self, net):
         cs = lowest_id_clustering(net.graph)
         static = build_static_backbone(cs, CoveragePolicy.THREE_HOP)
         mo = build_mo_cds(cs)
-        assert static.size <= mo.size + 2
+        for backbone in (static, mo):
+            verify_backbone(backbone)
+            assert cs.clusterheads <= backbone.nodes
+
+    def test_sizes_comparable_on_geometric(self):
+        # Figure 6's observation is about averages: greedy merging makes
+        # the static 3-hop backbone no larger than MO_CDS on average over
+        # paper-environment samples, though single samples can go either
+        # way (see the pinned example above).
+        for degree in (6.0, 18.0):
+            for n in (20, 60, 100):
+                static = mo = 0
+                for seed in range(10):
+                    net = random_geometric_network(n, degree, rng=seed)
+                    cs = lowest_id_clustering(net.graph)
+                    static += build_static_backbone(
+                        cs, CoveragePolicy.THREE_HOP).size
+                    mo += build_mo_cds(cs).size
+                assert static <= mo, (degree, n, static, mo)

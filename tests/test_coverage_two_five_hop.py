@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster.lowest_id import lowest_id_clustering
+from repro.coverage.policy import compute_all_coverage_pairs
+from repro.coverage.three_hop import three_hop_coverage
 from repro.coverage.two_five_hop import two_five_hop_coverage
 from repro.errors import CoverageError
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import bfs_distances
 
-from strategies import connected_graphs
+from coverage_oracle import ch_hop_walk, distance_walk
+from strategies import arbitrary_graphs, connected_graphs
 
 
 class TestFigure3Example:
@@ -106,3 +109,27 @@ class TestProperties:
                     assert graph.has_edge(head, v)
                     assert graph.has_edge(v, w)
                     assert cs.head_of[w] == ch
+
+
+def _assert_pair_matches_oracles(cs):
+    two_five, three = compute_all_coverage_pairs(cs)
+    assert list(two_five) == list(three) == cs.sorted_heads()
+    for head in cs.sorted_heads():
+        # CoverageSet equality covers C2, C3 and every witness map.
+        assert two_five[head] == ch_hop_walk(cs, head)
+        assert three[head] == distance_walk(cs, head)
+        assert two_five_hop_coverage(cs, head) == two_five[head]
+        assert three_hop_coverage(cs, head) == three[head]
+
+
+class TestOneWalkBothPolicies:
+    """The shared 3-hop walk and the single-policy walks reproduce the
+    literal CH_HOP1/CH_HOP2 walk and the BFS-distance 3-hop walk."""
+
+    def test_figure3(self, fig3_clustering):
+        _assert_pair_matches_oracles(fig3_clustering)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=arbitrary_graphs())
+    def test_pair_matches_oracle_walks(self, graph):
+        _assert_pair_matches_oracles(lowest_id_clustering(graph))

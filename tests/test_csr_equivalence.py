@@ -32,6 +32,8 @@ from repro.graph.build import unit_disk_csr, unit_disk_graph
 from repro.graph.csr import CSRGraph
 from repro.types import CoveragePolicy
 
+from coverage_oracle import ch_hop_walk
+
 
 @st.composite
 def placements(draw):
@@ -90,7 +92,7 @@ def test_coverage_matches_dict_implementation(scenario):
     structure = lowest_id_clustering(graph)
     head_row = lowest_id_rows(csr)
     for arrays_fn, dict_fn in (
-        (two_five_hop_arrays, two_five_hop_coverage),
+        (two_five_hop_arrays, ch_hop_walk),
         (three_hop_arrays, three_hop_coverage),
     ):
         got = arrays_fn(csr, head_row).materialise_all()

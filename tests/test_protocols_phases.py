@@ -15,6 +15,7 @@ from repro.protocols.hello import HelloProtocol
 from repro.sim.network import SimNetwork
 from repro.types import CoveragePolicy
 
+from coverage_oracle import ch_hop_walk
 from strategies import connected_graphs
 
 
@@ -103,6 +104,18 @@ class TestCoverageExchange:
                     == distributed[head].direct_witnesses)
             assert (central[head].indirect_witnesses
                     == distributed[head].indirect_witnesses)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=connected_graphs())
+    def test_two_five_hop_matches_ch_hop_oracle(self, graph):
+        net, _hello, clustering = run_through_clustering(graph)
+        coverage = CoverageExchangeProtocol(net, CoveragePolicy.TWO_FIVE_HOP)
+        coverage.start()
+        net.run_phase()
+        structure = clustering.result()
+        assert coverage.all_coverage_sets() == {
+            h: ch_hop_walk(structure, h) for h in structure.sorted_heads()
+        }
 
     def test_requires_clustering_first(self, fig3_graph):
         net = SimNetwork(fig3_graph)

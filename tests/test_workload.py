@@ -4,7 +4,8 @@ import pytest
 
 from chaos_exec import noise_spec
 from repro.errors import ConfigurationError, SampleBudgetExceededError
-from repro.exec.backends import SerialBackend
+from repro.exec.backends import ProcessBackend, SerialBackend
+from repro.exec.scenarios import get_scenario_cache
 from repro.exec.spec import TrialSpec
 from repro.workload.config import PaperEnvironment
 from repro.workload.experiments import (
@@ -222,3 +223,36 @@ class TestFigureDrivers:
         a = run_fig6(TINY)[6.0].get(STATIC_25).means()
         b = run_fig6(TINY)[6.0].get(STATIC_25).means()
         assert a == b
+
+
+class TestBackboneNodeMemo:
+    """The per-scenario backbone node sets are unobservable in the results.
+
+    Defeating the scenario cache (``maxsize=0``) hands every trial a fresh
+    scenario, so each figure rebuilds its backbones from scratch; with the
+    cache on, figures 7 and 8 reuse the node sets figure 6 memoised.
+    """
+
+    DRIVERS = (run_fig6, run_fig7, run_fig8, run_flooding_comparison)
+
+    def _tables(self, backend_name):
+        get_scenario_cache().clear()
+        # Created after the clear, so forked workers start from the same
+        # (empty or defeated) cache as the parent.
+        backend = (SerialBackend() if backend_name == "serial"
+                   else ProcessBackend(2))
+        try:
+            return [
+                {d: t.to_records() for d, t in driver(
+                    TINY, backend=backend, parallel=2).items()}
+                for driver in self.DRIVERS
+            ]
+        finally:
+            backend.close()
+            get_scenario_cache().clear()
+
+    @pytest.mark.parametrize("backend_name", ["serial", "process"])
+    def test_memo_matches_defeated_cache(self, backend_name, monkeypatch):
+        memo = self._tables(backend_name)
+        monkeypatch.setattr(get_scenario_cache(), "maxsize", 0)
+        assert self._tables(backend_name) == memo
