@@ -28,7 +28,7 @@ protocols' ``jitter_slots``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import perf
 from repro.errors import SimulationError
@@ -108,16 +108,18 @@ class SlottedCsmaMac(MacModel):
         self.cw_max = int(cw_max)
         self.max_attempts = int(max_attempts)
         self._rng = ensure_rng(rng)
-        #: Committed reservations as (slot index, sender), pruned lazily.
-        self._reserved: List[Tuple[int, NodeId]] = []
+        #: Committed reservations: slot index -> reserving senders in
+        #: grant order.  Slots before the current one are pruned lazily.
+        self._reserved: Dict[int, List[NodeId]] = {}
 
     def _busy(self, sender: NodeId, slot_index: int) -> bool:
         """Whether ``sender`` senses ``slot_index`` as taken."""
+        reservers = self._reserved.get(slot_index)
+        if not reservers:
+            return False
         assert self.medium is not None
         neighbours = self.medium.graph.neighbours_view(sender)
-        for reserved_slot, reserver in self._reserved:
-            if reserved_slot != slot_index:
-                continue
+        for reserver in reservers:
             if reserver == sender or reserver in neighbours:
                 return True
         return False
@@ -128,7 +130,9 @@ class SlottedCsmaMac(MacModel):
         assert self.medium is not None
         now = self.medium.sim.now
         base = self._next_slot(now)
-        self._reserved = [(s, v) for s, v in self._reserved if s >= base - 1]
+        reserved = self._reserved
+        for slot_index in [s for s in reserved if s < base - 1]:
+            del reserved[slot_index]
         cw = self.cw_min
         offset = 0
         for attempt in range(self.max_attempts):
@@ -137,7 +141,7 @@ class SlottedCsmaMac(MacModel):
             if not self._busy(sender, candidate):
                 if candidate != base or attempt:
                     self.deferrals += 1
-                self._reserved.append((candidate, sender))
+                reserved.setdefault(candidate, []).append(sender)
                 return candidate * self.slot - now
             cw = min(cw * 2, self.cw_max)
             offset += 1  # the busy slot itself is skipped

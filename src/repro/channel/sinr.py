@@ -29,8 +29,9 @@ bit-reproducible on every execution backend.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro import perf
 from repro.channel.model import ChannelModel
@@ -106,23 +107,45 @@ class SinrChannel(ChannelModel):
             self.tx_power * self.radius ** -self.alpha
             / (self.threshold * self.noise_margin)
         )
-        #: Transmissions currently (or recently) on the air, in air order.
-        self._active: Deque[Tuple[float, NodeId]] = deque()
+        #: Transmissions currently (or recently) on the air, in air order,
+        #: grouped by air time: ``(air_time, [sender, ...])``.
+        self._active: Deque[Tuple[float, List[NodeId]]] = deque()
+        #: Power memo, ``rx -> {tx: power}``, shared by :meth:`fresh` twins.
+        self._powers: Dict[NodeId, Dict[NodeId, float]] = {
+            v: {} for v in self._positions
+        }
+
+    def fresh(self, mac: Optional["MacModel"] = None) -> "SinrChannel":
+        """A twin with an empty air schedule, zero counters and ``mac`` that
+        shares this channel's geometry, parameters and power memo."""
+        twin = copy.copy(self)
+        ChannelModel.__init__(twin, mac=mac)
+        twin._active = deque()
+        return twin
 
     # -- geometry ----------------------------------------------------------
 
     def _power(self, tx: NodeId, rx: NodeId) -> float:
-        """Received power of ``tx`` at ``rx`` under log-distance pathloss."""
-        x1, y1 = self._positions[tx]
-        x2, y2 = self._positions[rx]
-        dx = abs(x1 - x2)
-        dy = abs(y1 - y2)
+        """Received power of ``tx`` at ``rx`` under log-distance pathloss,
+        memoised both ways (pathloss is symmetric bit for bit; off the torus
+        squaring drops the offsets' sign exactly, so no ``abs``)."""
+        positions = self._positions
+        x1, y1 = positions[tx]
+        x2, y2 = positions[rx]
+        dx = x1 - x2
+        dy = y1 - y2
         if self._torus:
             width, height = self._extent
+            dx = abs(dx)
+            dy = abs(dy)
             dx = min(dx, width - dx)
             dy = min(dy, height - dy)
-        d = max((dx * dx + dy * dy) ** 0.5, _MIN_DISTANCE)
-        return self.tx_power * d ** -self.alpha
+        d = (dx * dx + dy * dy) ** 0.5
+        if d < _MIN_DISTANCE:
+            d = _MIN_DISTANCE
+        power = self.tx_power * d ** -self.alpha
+        self._powers[rx][tx] = self._powers[tx][rx] = power
+        return power
 
     # -- ChannelModel interface --------------------------------------------
 
@@ -136,33 +159,43 @@ class SinrChannel(ChannelModel):
         active = self._active
         while active and active[0][0] <= horizon:
             active.popleft()
-        active.append((air_time, sender))
+        if active and active[-1][0] == air_time:
+            active[-1][1].append(sender)
+        else:
+            active.append((air_time, [sender]))
 
     def accepts(self, sender: NodeId, receiver: NodeId,
                 air_time: float) -> bool:
         """SINR-threshold decision for one copy (pure, no randomness)."""
+        if perf.enabled():
+            with perf.stage("channel"):
+                return self._decide(sender, receiver, air_time)
         return self._decide(sender, receiver, air_time)
 
-    @perf.timed("channel")
     def _decide(self, sender: NodeId, receiver: NodeId,
                 air_time: float) -> bool:
         assert self.medium is not None
         window = self.medium.latency * (1.0 - _EPS)
+        row = self._powers[receiver]
         interference = 0.0
         interferers = 0
-        for when, who in self._active:
+        for when, senders in self._active:
             if abs(when - air_time) >= window:
                 continue
-            if who == sender and when == air_time:
-                continue  # the wanted signal itself
-            if who == receiver:
-                # Half-duplex: the receiver's own radio was on the air.
-                self.half_duplex_drops += 1
-                self.collisions += 1
-                return False
-            interference += self._power(who, receiver)
-            interferers += 1
-        wanted = self._power(sender, receiver)
+            wanted_slot = when == air_time
+            for who in senders:
+                if wanted_slot and who == sender:
+                    continue  # the wanted signal itself
+                if who == receiver:
+                    # Half-duplex: the receiver's own radio was on the air.
+                    self.half_duplex_drops += 1
+                    self.collisions += 1
+                    return False
+                # ``or`` recomputes a missing power (or a zero one, to the
+                # same zero), so the sum is unchanged either way.
+                interference += row.get(who) or self._power(who, receiver)
+                interferers += 1
+        wanted = row.get(sender) or self._power(sender, receiver)
         if wanted >= self.threshold * (self.noise + interference):
             if interferers:
                 self.captures += 1

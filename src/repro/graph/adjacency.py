@@ -58,11 +58,10 @@ class Graph:
         self._adj.setdefault(v, set()).add(u)
 
     def add_edges(self, edges: Iterable[Tuple[NodeId, NodeId]]) -> None:
-        """Bulk edge insertion (hot path of unit-disk construction).
+        """Bulk edge insertion, equal to calling :meth:`add_edge` per pair.
 
-        Semantically identical to calling :meth:`add_edge` per pair, but
-        with the dict lookups hoisted; measured ~2x faster on the dense
-        builder's output.
+        Each endpoint's set receives its partners in pair order; the
+        unit-disk builders reproduce that insertion order in one pass.
         """
         adj = self._adj
         setdefault = adj.setdefault

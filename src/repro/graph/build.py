@@ -14,7 +14,7 @@ Both produce identical graphs; a test asserts the equivalence.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,60 @@ def unit_disk_graph(
     Returns:
         The unit disk :class:`~repro.graph.adjacency.Graph`.
     """
+    pts, id_list, method = _validate(positions, radius, ids, method, torus)
+    us, vs = unit_disk_pairs(pts, radius, method=method, torus=torus)
+    return _graph_from_rows(id_list, *_neighbour_rows(len(id_list), us, vs))
+
+
+@perf.timed("construction")
+def connected_unit_disk_graph(
+    positions: np.ndarray,
+    radius: float,
+    *,
+    ids: Optional[Sequence[NodeId]] = None,
+    torus: Optional[Area] = None,
+) -> Optional[Graph]:
+    """:func:`unit_disk_graph`, or ``None`` when it is disconnected.
+
+    The test runs on arrays before any :class:`Graph` exists: an isolated
+    node costs one ``bincount``, else a search over the neighbour rows.
+    """
+    pts, id_list, method = _validate(positions, radius, ids, "auto", torus)
+    n = len(id_list)
+    us, vs = unit_disk_pairs(pts, radius, method=method, torus=torus)
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    if n > 1 and not degree.all():
+        return None
+    indptr, partners = _neighbour_rows(n, us, vs)
+    if not _rows_connected(indptr, partners):
+        return None
+    return _graph_from_rows(id_list, indptr, partners)
+
+
+def unit_disk_pairs(positions: np.ndarray, radius: float, *,
+                    method: str = "grid", torus: Optional[Area] = None
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Row indices of each adjacent pair once: in upper-triangle order for
+    ``method="dense"`` (required under ``torus``), else in
+    :meth:`~repro.geometry.grid.SpatialGrid.pair_arrays` order."""
+    n = positions.shape[0]
+    if n < 2:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    if method == "grid":
+        return SpatialGrid(positions, cell_size=radius).pair_arrays(radius)
+    diff = np.abs(positions[:, None, :] - positions[None, :, :])
+    if torus is not None:
+        extent = np.array([torus.width, torus.height])
+        diff = np.minimum(diff, extent - diff)
+    close = np.einsum("ijk,ijk->ij", diff, diff) < radius * radius
+    iu, ju = np.triu_indices(n, k=1)
+    keep = close[iu, ju]
+    return iu[keep], ju[keep]
+
+
+def _validate(positions, radius, ids, method, torus):
+    """Checked ``(points, id list, resolved method)`` for the builders."""
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError(f"expected (n, 2) positions, got shape {pts.shape}")
@@ -87,43 +141,42 @@ def unit_disk_graph(
         method = "dense"
     if method == "auto":
         method = "dense" if n <= _DENSE_CUTOVER else "grid"
+    return pts, id_list, method
 
-    graph = Graph(nodes=id_list)
-    if n < 2:
-        return graph
-    if method == "dense":
-        _build_dense(graph, pts, radius, id_list, torus)
-    else:
-        _build_grid(graph, pts, radius, id_list)
+
+def _neighbour_rows(n: int, us: np.ndarray,
+                    vs: np.ndarray) -> Tuple[List[int], List[int]]:
+    """``(indptr, partners)``: each row's partners in pair order, the
+    order in which adding the pairs one by one inserts them."""
+    src = np.stack((us, vs), axis=1).ravel()
+    dst = np.stack((vs, us), axis=1).ravel()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr.tolist(), dst[np.argsort(src, kind="stable")].tolist()
+
+
+def _rows_connected(indptr: List[int], partners: List[int]) -> bool:
+    """Whether a depth-first search from row 0 reaches every row."""
+    seen = bytearray(len(indptr) - 1)
+    stack = [0] if seen else []
+    while stack:
+        v = stack.pop()
+        if not seen[v]:
+            seen[v] = 1
+            stack.extend(partners[indptr[v]:indptr[v + 1]])
+    return all(seen)
+
+
+def _graph_from_rows(id_list: Sequence[NodeId], indptr: List[int],
+                     partners: List[int]) -> Graph:
+    """The :class:`Graph` of the rows.  Sets are filled in row order, so
+    their iteration order (and every tie-break over it) is unchanged."""
+    if not isinstance(id_list, range):
+        partners = [id_list[w] for w in partners]
+    graph = Graph()
+    for row, v in enumerate(id_list):
+        graph._adj[int(v)] = set(partners[indptr[row]:indptr[row + 1]])
     return graph
-
-
-def _build_dense(graph: Graph, pts: np.ndarray, radius: float,
-                 ids: Sequence[NodeId], torus: Optional[Area] = None) -> None:
-    """Vectorised pairwise-distance construction (O(n^2) memory)."""
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    if torus is not None:
-        extent = np.array([torus.width, torus.height])
-        diff = np.minimum(diff, extent - diff)
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    close = dist2 < radius * radius
-    iu, ju = np.triu_indices(pts.shape[0], k=1)
-    # .tolist() turns numpy scalars into plain ints (consistent dict keys)
-    # and add_edges hoists the per-pair dict lookups — together ~2x faster
-    # than an add_edge loop on this hot path.
-    us = iu[close[iu, ju]].tolist()
-    vs = ju[close[iu, ju]].tolist()
-    graph.add_edges((ids[i], ids[j]) for i, j in zip(us, vs))
-
-
-def _build_grid(graph: Graph, pts: np.ndarray, radius: float,
-                ids: Sequence[NodeId]) -> None:
-    """Spatial-hash construction (expected O(n) for uniform placements)."""
-    grid = SpatialGrid(pts, cell_size=radius)
-    us, vs = grid.pair_arrays(radius)
-    graph.add_edges(
-        (ids[i], ids[j]) for i, j in zip(us.tolist(), vs.tolist())
-    )
 
 
 @perf.timed("construction")
@@ -148,17 +201,6 @@ def unit_disk_csr(
     """
     from repro.graph.csr import csr_from_positions
 
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise GeometryError(f"expected (n, 2) positions, got shape {pts.shape}")
-    if not (radius > 0.0 and np.isfinite(radius)):
-        raise GeometryError(f"radius must be positive and finite, got {radius}")
-    n = pts.shape[0]
-    if ids is not None:
-        id_list = list(ids)
-        if len(id_list) != n:
-            raise GeometryError(f"got {len(id_list)} ids for {n} positions")
-        if len(set(id_list)) != n:
-            raise GeometryError("node ids must be unique")
-        ids = id_list
-    return csr_from_positions(pts, radius, ids=ids, torus=torus)
+    pts, id_list, _ = _validate(positions, radius, ids, "auto", torus)
+    return csr_from_positions(pts, radius, torus=torus,
+                              ids=None if ids is None else id_list)

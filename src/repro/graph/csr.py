@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.errors import GeometryError, NodeNotFoundError
 from repro.geometry.area import Area
-from repro.geometry.grid import SpatialGrid, grouped_ranges
+from repro.geometry.grid import grouped_ranges
+from repro.graph.build import unit_disk_pairs
 from repro.types import NodeId
 
 if TYPE_CHECKING:
@@ -352,20 +353,9 @@ def csr_from_positions(
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError(f"expected (n, 2) positions, got shape {pts.shape}")
-    n = pts.shape[0]
-    if n < 2:
-        us = vs = np.empty(0, dtype=np.int64)
-    elif torus is not None:
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        extent = np.array([torus.width, torus.height])
-        diff = np.minimum(diff, extent - diff)
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        iu, ju = np.triu_indices(n, k=1)
-        close = dist2[iu, ju] < radius * radius
-        us, vs = iu[close], ju[close]
-    else:
-        us, vs = SpatialGrid(pts, cell_size=radius).pair_arrays(radius)
-    return CSRGraph.from_pairs(n, us, vs, ids=ids)
+    us, vs = unit_disk_pairs(pts, radius, torus=torus,
+                             method="grid" if torus is None else "dense")
+    return CSRGraph.from_pairs(pts.shape[0], us, vs, ids=ids)
 
 
 # -- segment primitives shared by the array kernels ------------------------

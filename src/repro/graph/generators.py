@@ -21,8 +21,7 @@ from repro.geometry.area import Area
 from repro.geometry.disk import range_for_target_degree
 from repro.geometry.placement import chain_placement, uniform_placement
 from repro.graph.adjacency import Graph
-from repro.graph.build import unit_disk_graph
-from repro.graph.connectivity import is_connected
+from repro.graph.build import connected_unit_disk_graph
 from repro.graph.network import Network
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
@@ -100,6 +99,12 @@ def random_geometric_network(
     (or given directly); disconnected samples are discarded and re-drawn, as
     in the paper.
 
+    Rejection runs on the pair arrays, so only the accepted draw becomes a
+    :class:`~repro.graph.adjacency.Graph`.  Its neighbour sets get their
+    members in the order :meth:`~repro.graph.adjacency.Graph.add_edges`
+    would insert the pairs, which fixes set iteration order and with it
+    every downstream tie-break.
+
     Args:
         n: Number of nodes.
         average_degree: Target average degree (the paper uses 6 and 18).
@@ -139,21 +144,17 @@ def random_geometric_network(
         if shuffle_ids:
             # Drawn even for rejected samples so the generator consumes the
             # same stream as it always has (golden tests pin the outputs).
-            ids = [int(x) for x in generator.permutation(n)]
-        # Connectivity only needs the unit-disk graph; the Network (its
-        # positions dict and validation) is materialised only for the one
-        # sample that survives rejection — at sparse settings the vast
-        # majority of draws are rejected.
-        graph = unit_disk_graph(
+            ids = generator.permutation(n).tolist()
+        graph = connected_unit_disk_graph(
             pts, r, ids=ids, torus=area if torus else None
         )
-        if not is_connected(graph):
+        if graph is None:
             continue
-        id_list = list(ids) if ids is not None else list(range(n))
+        id_list = ids if ids is not None else range(n)
         return Network(
             graph=graph,
             positions={
-                v: (float(x), float(y)) for v, (x, y) in zip(id_list, pts)
+                v: (x, y) for v, (x, y) in zip(id_list, pts.tolist())
             },
             radius=r,
             area=area,

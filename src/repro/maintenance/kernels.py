@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from repro.graph.csr import (
     CSRGraph,
     csr_from_positions,
     mask_unique_rows,
-    searchsorted_membership,
     sorted_unique,
 )
 from repro.graph.network import Network
@@ -118,9 +117,24 @@ def _canonical_keys(csr: CSRGraph) -> np.ndarray:
     return keys[keys // n < keys % n]
 
 
-def _setdiff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a - b`` for sorted unique int64 arrays."""
-    return a[~searchsorted_membership(b, a)]
+def _sorted_diff(old: np.ndarray,
+                 new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(new - old, old - new)`` for sorted unique keys below ``2**62``.
+
+    One merge pass: each key carries its side in a low tag bit, a stable
+    sort merges the two sorted runs, and a shared key lands by its twin.
+    """
+    tagged = np.concatenate((old.astype(np.int64) << 1,
+                             (new.astype(np.int64) << 1) | 1))
+    tagged.sort(kind="stable")
+    key = tagged >> 1
+    same = key[1:] == key[:-1]
+    shared = np.zeros(tagged.shape[0], dtype=bool)
+    shared[1:] = same
+    shared[:-1] |= same
+    single = tagged[~shared]
+    from_new = (single & 1) == 1
+    return single[from_new] >> 1, single[~from_new] >> 1
 
 
 class KernelMobilitySession:
@@ -286,8 +300,7 @@ class KernelMobilitySession:
                     torus=self.area if self.torus else None,
                 )
                 new_keys = _canonical_keys(new_csr)
-                added = _setdiff_sorted(new_keys, self._edge_keys)
-                removed = _setdiff_sorted(self._edge_keys, new_keys)
+                added, removed = _sorted_diff(self._edge_keys, new_keys)
             t2 = time.perf_counter()
             with perf.stage("maintenance.repair"):
                 report = self._repair(added, removed, new_csr, dt,
@@ -343,8 +356,7 @@ class KernelMobilitySession:
             self._changed_heads(old_gateway_keys, self._gateway_keys, n),
         )
         resignal = resignal[old_is_head[resignal] & is_head[resignal]]
-        gained = _setdiff_sorted(self._gateway_rows, old_gateways)
-        lost = _setdiff_sorted(old_gateways, self._gateway_rows)
+        gained, lost = _sorted_diff(old_gateways, self._gateway_rows)
 
         connected: Optional[bool] = None
         if self.connectivity:

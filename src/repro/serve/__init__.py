@@ -10,9 +10,9 @@ buffering.  See docs/serving.md for the protocol and the recovery
 semantics, and :mod:`repro.serve.service` for the lifecycle internals.
 """
 
+from importlib import import_module
+
 from repro.serve.protocol import MAX_REQUEST_BYTES, ServeError, parse_request
-from repro.serve.service import ServeService
-from repro.serve.server import ServeServer
 
 __all__ = [
     "MAX_REQUEST_BYTES",
@@ -21,3 +21,13 @@ __all__ = [
     "ServeService",
     "parse_request",
 ]
+
+
+def __getattr__(name: str):
+    # The service imports the experiment adapters, which import this
+    # package's protocol module: loading it on first use keeps
+    # ``import repro.workload.serve_adapters`` free of an import cycle.
+    if name in ("ServeService", "ServeServer"):
+        module = "service" if name == "ServeService" else "server"
+        return getattr(import_module(f"repro.serve.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

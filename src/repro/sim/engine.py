@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue, Priority
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -41,10 +44,12 @@ class Simulator:
         return len(self._queue)
 
     def schedule(self, delay: float, action, priority: Priority = ()) -> None:
-        """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._queue.push(self._now + delay, action, priority)
+        """Schedule ``action`` ``delay`` (finite, >= 0) time units from now."""
+        time = self._now + delay
+        if not (delay >= 0.0 and time < _INF):  # NaN fails both tests
+            raise SimulationError(f"invalid delay {delay}")
+        queue = self._queue
+        heappush(queue.heap, (time, priority, next(queue.counter), action))
 
     def run(self, until: Optional[float] = None) -> int:
         """Process events (optionally only up to time ``until``).
@@ -62,24 +67,28 @@ class Simulator:
             SimulationError: when this call would process more than
                 ``max_events`` events.
         """
-        start = self._processed
-        while self._queue:
-            next_time = self._queue.peek_time()
-            assert next_time is not None
-            if until is not None and next_time > until:
-                break
-            if self._processed - start >= self.max_events:
-                raise SimulationError(
-                    f"exceeded {self.max_events} events in one run — "
-                    f"runaway protocol?"
-                )
-            event = self._queue.pop()
-            self._now = event.time
-            event.action()
-            self._processed += 1
+        heap = self._queue.heap
+        limit = _INF if until is None else until
+        budget = self.max_events
+        count = 0
+        try:
+            while heap:
+                if heap[0][0] > limit:
+                    break
+                if count >= budget:
+                    raise SimulationError(
+                        f"exceeded {budget} events in one run — "
+                        f"runaway protocol?"
+                    )
+                time, _, _, action = heappop(heap)
+                self._now = time
+                action()
+                count += 1
+        finally:
+            self._processed += count
         if until is not None and self._now < until:
             self._now = until
-        return self._processed - start
+        return count
 
     def run_to_quiescence(self) -> int:
         """Run until no events remain (phase completion)."""

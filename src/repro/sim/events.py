@@ -5,24 +5,28 @@ arbitrary comparable tuple — the medium uses ``(sender, receiver)`` so that
 simultaneous deliveries replay in the same order as the centralised
 algorithms' tie-breaking — and ``seq`` is a monotonically increasing tiebreak
 that keeps ordering total and insertion-stable.
+
+The heap holds plain ``(time, priority, seq, action)`` tuples, so tuple
+comparison is the total order (``seq`` is unique: actions are never
+compared) and the run loop unpacks them without attribute lookups.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 
 #: Priority tuples must be comparable against each other; plain int tuples.
 Priority = Tuple[int, ...]
 
+_INF = float("inf")
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A scheduled callback.
+
+class Event(NamedTuple):
+    """A scheduled callback, laid out exactly as a heap entry.
 
     Attributes:
         time: Simulation time at which the action fires.
@@ -36,43 +40,35 @@ class Event:
     seq: int
     action: Callable[[], None]
 
-    @property
-    def sort_key(self) -> Tuple[float, Priority, int]:
-        """The total ordering key."""
-        return (self.time, self.priority, self.seq)
-
 
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects."""
+    """A binary-heap priority queue of ``(time, priority, seq, action)``."""
 
-    __slots__ = ("_heap", "_counter")
+    __slots__ = ("heap", "counter")
 
     def __init__(self) -> None:
-        self._heap: list[Tuple[Tuple[float, Priority, int], Event]] = []
-        self._counter = itertools.count()
+        self.heap: List[Tuple[float, Priority, int, Callable[[], None]]] = []
+        self.counter = itertools.count()
 
     def push(self, time: float, action: Callable[[], None],
-             priority: Priority = ()) -> Event:
-        """Enqueue ``action`` at ``time``; returns the created event."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule at negative time {time}")
-        event = Event(time=time, priority=priority,
-                      seq=next(self._counter), action=action)
-        heapq.heappush(self._heap, (event.sort_key, event))
-        return event
+             priority: Priority = ()) -> None:
+        """Enqueue ``action`` at ``time`` (finite and non-negative)."""
+        if not 0.0 <= time < _INF:  # also rejects NaN
+            raise SimulationError(f"cannot schedule at time {time}")
+        heapq.heappush(self.heap, (time, priority, next(self.counter), action))
 
     def pop(self) -> Event:
         """Dequeue the earliest event."""
-        if not self._heap:
+        if not self.heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)[1]
+        return Event._make(heapq.heappop(self.heap))
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest event, or ``None`` when empty."""
-        return self._heap[0][1].time if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)

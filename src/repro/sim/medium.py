@@ -27,7 +27,8 @@ order, matching the centralised algorithms' tie-breaking (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -115,6 +116,8 @@ class WirelessMedium:
         self._rng = ensure_rng(rng) if loss_probability > 0.0 else None
         self.trace = trace if trace is not None else TraceRecorder()
         self._receivers: Dict[NodeId, DeliveryHandler] = {}
+        #: Sender -> its neighbours in ascending id order, for this graph.
+        self._sorted_neighbours: Dict[NodeId, Tuple[NodeId, ...]] = {}
         #: Optional fault filter (see :class:`FaultHook`); ``None`` = ideal.
         self.fault_hook: Optional[FaultHook] = None
         #: Optional PHY/MAC overlay; ``None`` = the bare instant medium.
@@ -139,12 +142,15 @@ class WirelessMedium:
         In-flight deliveries already scheduled are unaffected (they were
         physically transmitted under the old topology); future
         transmissions use the new adjacency.  The node set must not change.
+        The medium caches sorted neighbours per graph, so swap graphs here
+        rather than mutating one in place.
         """
         if set(graph.nodes()) != set(self.graph.nodes()):
             raise SimulationError(
                 "update_graph must preserve the node set"
             )
         self.graph = graph
+        self._sorted_neighbours = {}
 
     def set_loss(self, probability: float, rng: RngLike = None) -> None:
         """Reconfigure the loss model mid-run.
@@ -162,25 +168,12 @@ class WirelessMedium:
             raise SimulationError(f"cannot attach unknown node {node}")
         self._receivers[node] = handler
 
-    def _plan_deliveries(
-        self, sender: NodeId
-    ) -> Iterator[Tuple[NodeId, int]]:
-        """Yield ``(receiver, copies)`` in ascending receiver order.
-
-        Applies the i.i.d. loss draw first (the signal is corrupted at the
-        receiver) and then the fault hook (``copies`` may be 0 for a crashed
-        receiver / cut link, or 2 under a duplication fault).  Draw order is
-        fixed — sorted receivers, loss before fault — so a seeded run is
-        bit-reproducible.
-        """
-        hook = self.fault_hook
-        for receiver in sorted(self.graph.neighbours_view(sender)):
-            if self._rng is not None and \
-                    self._rng.random() < self.loss_probability:
-                continue
-            copies = 1 if hook is None else hook.copies(sender, receiver)
-            if copies > 0:
-                yield receiver, copies
+    def _neighbours_sorted(self, sender: NodeId) -> Tuple[NodeId, ...]:
+        """``sender``'s neighbours in ascending id order (cached per graph)."""
+        cached = self._sorted_neighbours
+        if sender not in cached:
+            cached[sender] = tuple(sorted(self.graph.neighbours_view(sender)))
+        return cached[sender]
 
     def transmit(self, sender: NodeId, message: Message) -> None:
         """Broadcast ``message`` from ``sender`` to all its neighbours.
@@ -204,30 +197,41 @@ class WirelessMedium:
         if delay <= 0.0:
             self._air(sender, message)
         else:
-            self.sim.schedule(
-                delay,
-                lambda s=sender, m=message: self._air(s, m),
-                priority=(sender,),
-            )
+            self.sim.schedule(delay, partial(self._air, sender, message),
+                              priority=(sender,))
 
     def _air(self, sender: NodeId, message: Message) -> None:
-        """Put ``message`` on the air *now* and plan its deliveries."""
-        if self.channel is not None:
-            self.channel.on_air(sender, self.sim.now)
-        self.trace.record(self.sim.now, sender, message)
+        """Put ``message`` on the air *now* and schedule its deliveries.
+
+        Receivers are visited in ascending id order.  For each, the i.i.d.
+        loss draw comes first (the signal is corrupted at the receiver),
+        then the fault hook's ``copies`` (0 for a crashed receiver or a cut
+        link, 2 under a duplication fault).  That draw order is fixed, so
+        a seeded run is bit-reproducible.
+        """
         air_time = self.sim.now
-        for receiver, copies in self._plan_deliveries(sender):
-            handler = self._receivers.get(receiver)
-            if handler is None:
-                continue  # node exists but runs no protocol — silent sink
+        if self.channel is not None:
+            self.channel.on_air(sender, air_time)
+        self.trace.record(air_time, sender, message)
+        hook = self.fault_hook
+        rng = self._rng
+        loss = self.loss_probability
+        handlers = self._receivers
+        schedule = self.sim.schedule
+        latency = self.latency
+        deliver = self._deliver_if_up
+        for receiver in self._neighbours_sorted(sender):
+            if rng is not None and rng.random() < loss:
+                continue
+            copies = 1 if hook is None else hook.copies(sender, receiver)
+            handler = handlers.get(receiver)
+            if copies <= 0 or handler is None:
+                continue  # no signal, or a node that runs no protocol
             for _ in range(copies):
-                self.sim.schedule(
-                    self.latency,
-                    # bind loop variables explicitly
-                    lambda h=handler, r=receiver, s=sender, m=message,
-                           t=air_time: self._deliver_if_up(h, r, s, m, t),
-                    priority=(sender, receiver),
-                )
+                schedule(latency,
+                         partial(deliver, handler, receiver, sender, message,
+                                 air_time),
+                         priority=(sender, receiver))
 
     def _deliver_if_up(self, handler: DeliveryHandler, receiver: NodeId,
                        sender: NodeId, message: Message,
@@ -309,7 +313,7 @@ class CollisionMedium(WirelessMedium):
             return
         self.trace.record(self.sim.now, sender, message)
         arrival = self.sim.now + self.latency
-        for receiver in sorted(self.graph.neighbours_view(sender)):
+        for receiver in self._neighbours_sorted(sender):
             lost = self._rng is not None and \
                 self._rng.random() < self.loss_probability
             copies = 1 if hook is None else hook.copies(sender, receiver)
@@ -325,8 +329,8 @@ class CollisionMedium(WirelessMedium):
             for _ in range(copies):
                 self.sim.schedule(
                     self.latency,
-                    lambda h=handler, r=receiver, s=sender, m=message,
-                           k=key: self._deliver_or_collide(h, r, s, m, k),
+                    partial(self._deliver_or_collide, handler, receiver,
+                            sender, message, key),
                     priority=(sender, receiver),
                 )
 

@@ -32,6 +32,7 @@ from repro.broadcast.sd_cds import broadcast_sd
 from repro.channel.factory import make_channel, make_mac
 from repro.cluster.lowest_id import lowest_id_clustering
 from repro.cluster.state import ClusterStructure
+from repro.coverage.policy import compute_all_coverage_sets
 from repro.exec.backends import BackendLike
 from repro.exec.journal import RunJournal
 from repro.exec.scenarios import connected_scenario
@@ -272,21 +273,24 @@ def run_contention_scenario(
     mac_seed = derive_seed(rng)    # ... same backoff stream
     if structure is None:
         structure = lowest_id_clustering(graph)
-    static = build_static_backbone(structure)
-    sd_plan = broadcast_sd(structure, source).result.forward_nodes
+    # SI and SD run on the same 2.5-hop coverage sets: compute them once.
+    coverage = compute_all_coverage_sets(structure)
+    static = build_static_backbone(structure, coverage_sets=coverage)
+    sd_plan = broadcast_sd(
+        structure, source, coverage_sets=coverage
+    ).result.forward_nodes
     crashed = set(schedule.crashed_nodes()) if schedule is not None else set()
     eligible = eligible_nodes(graph, source, crashed)
     denominator = max(1, len(eligible))
 
+    # Fresh twins of one PHY share its memo: each power once per trial.
+    phy = make_channel("sinr", network, alpha=alpha, threshold=threshold,
+                       noise_margin=noise_margin)
     metrics: Dict[str, float] = {}
     for label, relays in (("flooding", graph.nodes()),
                           ("si", static.nodes),
                           ("sd", sd_plan)):
-        channel = make_channel(
-            "sinr", network,
-            mac=make_mac(mac, rng=mac_seed, frame=frame),
-            alpha=alpha, threshold=threshold, noise_margin=noise_margin,
-        )
+        channel = phy.fresh(make_mac(mac, rng=mac_seed, frame=frame))
         net = SimNetwork(graph, loss_probability=loss, rng=loss_seed,
                          channel=channel)
         if schedule is not None:

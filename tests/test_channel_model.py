@@ -152,3 +152,46 @@ class TestSinrValidation:
         result, _ = flood(network.graph, channel)
         assert len(result.received) < network.graph.num_nodes
         assert result.channel["collisions"] > 0
+
+
+def _reference_power(channel, network, tx, rx):
+    """The pathloss expression as first written: abs offsets, ``max``."""
+    x1, y1 = network.positions[tx]
+    x2, y2 = network.positions[rx]
+    dx = abs(x1 - x2)
+    dy = abs(y1 - y2)
+    if network.torus:
+        dx = min(dx, network.area.width - dx)
+        dy = min(dy, network.area.height - dy)
+    d = max((dx * dx + dy * dy) ** 0.5, 1e-3)
+    return channel.tx_power * d ** -channel.alpha
+
+
+class TestSinrPowerMemo:
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_power_equals_reference_expression_bit_for_bit(self, torus):
+        network = random_geometric_network(40, 8.0, rng=4, torus=torus)
+        channel = SinrChannel(network, alpha=3.5, tx_power=2.0)
+        nodes = network.graph.nodes()
+        for tx in nodes:
+            for rx in nodes:
+                if tx != rx:
+                    assert channel._power(tx, rx) == \
+                        _reference_power(channel, network, tx, rx)
+                    assert channel._power(tx, rx) == channel._power(rx, tx)
+
+    def test_fresh_twin_shares_memo_but_not_state(self):
+        network = random_geometric_network(60, 10.0, rng=9)
+        phy = SinrChannel(network)
+        first = phy.fresh(SlottedCsmaMac(rng=3))
+        result_a, _ = flood(network.graph, first)
+        second = phy.fresh(SlottedCsmaMac(rng=3))
+        assert second._powers is first._powers
+        assert second.stats() == ChannelStats()
+        assert second.mac is not first.mac
+        result_b, _ = flood(network.graph, second)
+        # A warm memo changes nothing: same receptions, same counters as
+        # a channel built from scratch.
+        cold = SinrChannel(network, mac=SlottedCsmaMac(rng=3))
+        result_c, _ = flood(network.graph, cold)
+        assert result_a == result_b == result_c

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.graph.build import unit_disk_graph
+from repro.geometry.area import Area
+from repro.graph.adjacency import Graph
+from repro.graph.build import (
+    connected_unit_disk_graph,
+    unit_disk_graph,
+    unit_disk_pairs,
+)
+from repro.graph.connectivity import is_connected
 
 
 class TestBasics:
@@ -63,3 +70,45 @@ class TestMethodEquivalence:
         auto = unit_disk_graph(pts, 0.3, method="auto")
         dense = unit_disk_graph(pts, 0.3, method="dense")
         assert auto == dense
+
+
+def _add_edges_oracle(pts, radius, ids, method, torus=None):
+    """The graph as built pair by pair through ``Graph.add_edges``."""
+    us, vs = unit_disk_pairs(pts, radius, method=method, torus=torus)
+    graph = Graph(nodes=ids)
+    graph.add_edges((ids[i], ids[j]) for i, j in zip(us.tolist(), vs.tolist()))
+    return graph
+
+
+def _orders(graph):
+    return [(v, list(graph.neighbours_view(v))) for v in graph]
+
+
+class TestInsertionOrder:
+    """The one-pass builders fill each neighbour set in ``add_edges`` order,
+    so set iteration order (and every tie-break over it) is unchanged."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 90),
+           radius=st.floats(0.05, 0.6), method=st.sampled_from(["dense", "grid"]),
+           shuffle=st.booleans())
+    def test_matches_add_edges(self, seed, n, radius, method, shuffle):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, 2))
+        ids = rng.permutation(n).tolist() if shuffle else list(range(n))
+        built = unit_disk_graph(pts, radius, ids=ids, method=method)
+        assert _orders(built) == _orders(
+            _add_edges_oracle(pts, radius, ids, method))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 60),
+           radius=st.floats(0.05, 0.5), torus=st.booleans())
+    def test_connected_variant(self, seed, n, radius, torus):
+        pts = np.random.default_rng(seed).random((n, 2))
+        area = Area(1.0, 1.0) if torus else None
+        got = connected_unit_disk_graph(pts, radius, torus=area)
+        full = unit_disk_graph(pts, radius, torus=area)
+        if is_connected(full):
+            assert got is not None and _orders(got) == _orders(full)
+        else:
+            assert got is None

@@ -26,7 +26,7 @@ from repro.geometry.mobility import RandomWalk, RandomWaypoint
 from repro.geometry.placement import uniform_placement
 from repro.graph.csr import csr_from_positions
 from repro.graph.network import Network
-from repro.maintenance.kernels import KernelMobilitySession
+from repro.maintenance.kernels import KernelMobilitySession, _sorted_diff
 from repro.maintenance.session import MobilitySession
 from repro.types import CoveragePolicy
 
@@ -213,3 +213,15 @@ class TestRepairLowestId:
             reassigned, changed[~old_is_head[changed] & ~is_head[changed]]
         )
         assert np.isin(flipped, reevaluated).all()
+
+
+class TestSortedDiff:
+    @settings(max_examples=60, deadline=None)
+    @given(old=st.sets(st.integers(0, 2 ** 40), max_size=60),
+           new=st.sets(st.integers(0, 2 ** 40), max_size=60))
+    def test_matches_setdiff(self, old, new):
+        a = np.array(sorted(old), dtype=np.int64)
+        b = np.array(sorted(new), dtype=np.int64)
+        added, removed = _sorted_diff(a, b)
+        assert added.tolist() == sorted(new - old)
+        assert removed.tolist() == sorted(old - new)

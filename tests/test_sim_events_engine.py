@@ -1,5 +1,7 @@
 """Tests for the event queue and simulation engine."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -42,6 +44,13 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().push(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, time):
+        q = EventQueue()
+        with pytest.raises(SimulationError):
+            q.push(time, lambda: None)
+        assert len(q) == 0
 
     def test_peek_time(self):
         q = EventQueue()
@@ -88,6 +97,26 @@ class TestSimulator:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-0.5, lambda: None)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        # A NaN delay used to be accepted and, since every comparison with
+        # NaN is false, ran before earlier events.
+        sim = Simulator()
+        hits = []
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: hits.append("bad"))
+        sim.schedule(1.0, lambda: hits.append(1.0))
+        sim.schedule(0.5, lambda: hits.append(0.5))
+        sim.run()
+        assert hits == [0.5, 1.0]
+
+    def test_delay_overflowing_to_infinity_rejected(self):
+        sim = Simulator()
+        sim.schedule(1e308, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule(1e308, lambda: None)
 
     def test_runaway_guard(self):
         sim = Simulator(max_events=50)
