@@ -243,6 +243,19 @@ def _unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return sk[first], inverse
 
 
+def _sort_pairs(
+    key: np.ndarray, w: np.ndarray, key_span: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs with ``key < key_span`` and ``w < n``, sorted by ``(key, w)``:
+    one packed int64 sort while ``key_span * n < 2**62``, else (the packed
+    key could wrap) an order-identical lexsort."""
+    if key_span * n < 2**62:
+        packed = np.sort(key * n + w)
+        return packed // n, packed % n
+    order = np.lexsort((w, key))
+    return key[order], w[order]
+
+
 def _select_from_tables(
     ids: np.ndarray,
     n: int,
@@ -286,9 +299,7 @@ def _select_from_tables(
         i_cand_c = i_cand
         in_cand = np.zeros(i_cand.shape[0], dtype=bool)
     u_key = i_cand_c[in_cand] * max(n_t3, 1) + i_t3[in_cand]
-    u_w = i_w[in_cand]
-    order = np.lexsort((u_w, u_key))
-    u_key, u_w = u_key[order], u_w[order]
+    u_key, u_w = _sort_pairs(u_key, i_w[in_cand], n_cand * max(n_t3, 1), n)
     first = np.ones(u_key.shape[0], dtype=bool)
     first[1:] = u_key[1:] != u_key[:-1]
     u3_c = u_key[first] // max(n_t3, 1)

@@ -114,13 +114,14 @@ def lowest_id_rows(csr: CSRGraph) -> np.ndarray:
 
 
 def _constrained_fixpoint(
-    csr: CSRGraph, old_is_head: np.ndarray, affected: np.ndarray
+    csr: CSRGraph, frozen_is_head: np.ndarray, affected: np.ndarray
 ) -> np.ndarray:
     """The lowest-ID fixpoint with every row outside ``affected`` frozen.
 
     The restricted analogue of :func:`lowest_id_rows`: affected rows are
-    reset to undecided while the complement keeps its old head flag, so
-    the relaxation only ever gathers the affected rows' neighbourhoods.
+    reset to undecided while the complement keeps its head flag from
+    ``frozen_is_head``, so the relaxation only ever gathers the affected
+    rows' neighbourhoods.
     A frozen *smaller* head demotes an affected neighbour up front; frozen
     *larger* heads are irrelevant to the rule (a node only looks at
     smaller ids), which is why the fallback scan below must test
@@ -128,7 +129,7 @@ def _constrained_fixpoint(
     here can legitimately have a larger frozen head neighbour.
     """
     n = csr.num_nodes
-    state = np.where(old_is_head, np.int8(1), np.int8(2))
+    state = np.where(frozen_is_head, np.int8(1), np.int8(2))
     state[affected] = 0
     flat, counts = csr.gather_rows(affected)
     src = np.repeat(affected, counts)
@@ -170,6 +171,13 @@ def repair_lowest_id_rows(
     the (unique) global fixpoint at every row, so it is bit-identical to
     :func:`lowest_id_rows` from scratch; only the work is local.
 
+    Each later round is warm-started: it re-solves only the *upward cone*
+    of the fresh rows (the rows reachable from them through larger
+    neighbours inside the ball), with every other row frozen at the
+    previous round's state.  The rule at a row reads only its smaller
+    neighbours, and no row outside the cone has a smaller neighbour inside
+    it, so those rows keep their state (DESIGN.md §2).
+
     Returns:
         ``(head_row, reevaluated, flipped, reassigned)`` — the repaired
         assignment plus the repair-locality row sets: rows whose rule was
@@ -179,19 +187,33 @@ def repair_lowest_id_rows(
     n = csr.num_nodes
     rows = np.arange(n, dtype=np.int64)
     old_is_head = old_head_row == rows
-    affected = mask_unique_rows(np.asarray(seeds, dtype=np.int64), n)
+    solved = mask_unique_rows(np.asarray(seeds, dtype=np.int64), n)
+    is_head = _constrained_fixpoint(csr, old_is_head, solved)
+    inside = np.zeros(n, dtype=bool)
+    inside[solved] = True
     while True:
-        is_head = _constrained_fixpoint(csr, old_is_head, affected)
-        flipped = affected[is_head[affected] != old_is_head[affected]]
-        flat, counts = csr.gather_rows(flipped)
-        src = np.repeat(flipped, counts)
-        larger = flat[flat > src]
-        inside = np.zeros(n, dtype=bool)
-        inside[affected] = True
-        fresh = larger[~inside[larger]]
+        # A row flipped in an earlier round and not re-solved since has
+        # every larger neighbour inside already: only this round's rows
+        # can yield fresh ones.
+        moved = solved[is_head[solved] != old_is_head[solved]]
+        flat, counts = csr.gather_rows(moved)
+        larger = flat[flat > np.repeat(moved, counts)]
+        fresh = mask_unique_rows(larger[~inside[larger]], n)
         if fresh.size == 0:
             break
-        affected = mask_unique_rows(np.concatenate([affected, fresh]), n)
+        inside[fresh] = True
+        cone = np.zeros(n, dtype=bool)
+        cone[fresh] = True
+        frontier = fresh
+        while frontier.size:
+            flat, counts = csr.gather_rows(frontier)
+            up = flat[flat > np.repeat(frontier, counts)]
+            frontier = mask_unique_rows(up[inside[up] & ~cone[up]], n)
+            cone[frontier] = True
+        solved = np.flatnonzero(cone)
+        is_head = _constrained_fixpoint(csr, is_head, solved)
+    affected = np.flatnonzero(inside)
+    flipped = affected[is_head[affected] != old_is_head[affected]]
     # Head assignments can change only where the neighbourhood or a
     # neighbour's head flag did: the seeds plus the flipped rows plus the
     # flipped rows' neighbours.

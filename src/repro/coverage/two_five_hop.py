@@ -38,7 +38,6 @@ from repro.graph.csr import (
     CSRGraph,
     grouped_cartesian,
     searchsorted_membership,
-    sort_quads,
     sort_triples,
 )
 from repro.types import CoveragePolicy, NodeId
@@ -122,16 +121,16 @@ def two_five_hop_arrays(csr: CSRGraph, head_row: np.ndarray) -> CoverageArrays:
     else:
         d_keys = d_pair
 
-    # Indirect quads.  First build each node's CH_HOP2 content — for every
-    # non-head neighbour w of v, the entry ``head(w)[w]`` unless head(w)
-    # is adjacent to v — which is independent of the receiving head, so
-    # the adjacency test runs once per directed edge rather than once per
-    # (head, edge) candidate.
+    # Indirect quads.  Each node v's CH_HOP2 holds ``head(w)[w]`` for every
+    # non-head neighbour w unless head(w) is adjacent to v.  That rule needs
+    # no adjacency look-up: when head(w) ~ v, every other head neighbour h
+    # of v shares v with head(w), so (h, head(w)) is a direct pair and the
+    # C3 removal below drops the quad anyway.  Dropping head(w) = head(v)
+    # up front only keeps the table small: a member v is adjacent to its
+    # head, and a head v has no head neighbours to pair with.
     v_of_plain = src[~nbr_is_head]
     ch_of_plain = head_row[plain_nbrs]
-    ok = ~searchsorted_membership(
-        csr.edge_keys(), v_of_plain * n + ch_of_plain
-    )
+    ok = ch_of_plain != head_row[v_of_plain]
     entry_w = plain_nbrs[ok]
     entry_ch = ch_of_plain[ok]
     m = np.bincount(v_of_plain[ok], minlength=n)
@@ -149,10 +148,14 @@ def two_five_hop_arrays(csr: CSRGraph, head_row: np.ndarray) -> CoverageArrays:
     keep = ~searchsorted_membership(d_keys, q_head * n + q_ch)
     grp, b = grp[keep], b[keep]
     q_head, q_ch = q_head[keep], q_ch[keep]
-    q_v = grp
     q_w = entry_w[m_start[grp] + b]
 
-    i_head, i_ch, i_v, i_w = sort_quads(n, q_head, q_ch, q_v, q_w)
+    # The quads were generated in ascending (v, w) order within each
+    # (head, ch) pair (v's groups ascend, and for a fixed head its entries
+    # ascend by w), so one stable sort on the pair key orders them by
+    # (head, ch, v, w) at every n — no packing tiers needed.
+    order = np.argsort(q_head * n + q_ch, kind="stable")
+    i_head, i_ch, i_v, i_w = q_head[order], q_ch[order], grp[order], q_w[order]
     return CoverageArrays(
         csr=csr,
         policy=CoveragePolicy.TWO_FIVE_HOP,

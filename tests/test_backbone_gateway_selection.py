@@ -1,10 +1,11 @@
 """Tests for the greedy gateway-selection heuristic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backbone.gateway_selection import select_gateways
+from repro.backbone.gateway_selection import _sort_pairs, select_gateways
 from repro.cluster.lowest_id import lowest_id_clustering
 from repro.coverage.entries import CoverageSet
 from repro.coverage.policy import compute_coverage_set
@@ -161,3 +162,46 @@ class TestProperties:
                                              unique=True))
                 assert select_gateways(cov, targets) == select_gateways(
                     cov.restricted(frozenset(targets)))
+
+
+class TestAbsorptionSort:
+    """``_sort_pairs``: the absorption table's ``(key, w)`` sort, packed
+    into one int64 below ``key_span * n < 2**62`` and a lexsort above."""
+
+    @staticmethod
+    def _expected(key, w):
+        return sorted(zip(key.tolist(), w.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2**20), st.integers(1, 2**20),
+           st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_both_branches_sort_lexicographically(self, key_span, n, m, seed):
+        rng = np.random.default_rng(seed)
+        key = rng.integers(0, key_span, size=m, dtype=np.int64)
+        w = rng.integers(0, n, size=m, dtype=np.int64)
+        want = self._expected(key, w)
+        # key_span * n < 2**40 here: the packed branch.  Claiming a span
+        # of 2**62 for the same pairs takes the lexsort branch.
+        for span in (key_span, 2**62):
+            got_key, got_w = _sort_pairs(key, w, span, n)
+            assert list(zip(got_key.tolist(), got_w.tolist())) == want
+            assert got_key.dtype == got_w.dtype == np.int64
+
+    @pytest.mark.parametrize("key_span, n", [
+        (2**31, 2**31 - 1),       # just below the guard: packed
+        (2**31, 2**31),           # exactly 2**62: lexsort
+        (2**40, 2**31 - 1),       # a packed key would wrap int64
+    ])
+    def test_extreme_values_either_side_of_the_guard(self, key_span, n):
+        rng = np.random.default_rng(7)
+        key = np.concatenate([
+            rng.integers(0, key_span, size=200, dtype=np.int64),
+            np.array([key_span - 1, key_span - 1, 0, 0], dtype=np.int64),
+        ])
+        w = np.concatenate([
+            rng.integers(0, n, size=200, dtype=np.int64),
+            np.array([n - 1, 0, n - 1, 0], dtype=np.int64),
+        ])
+        got_key, got_w = _sort_pairs(key, w, key_span, n)
+        assert list(zip(got_key.tolist(), got_w.tolist())) == self._expected(
+            key, w)

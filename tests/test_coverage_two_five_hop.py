@@ -1,14 +1,24 @@
 """Tests for the 2.5-hop coverage set (CH_HOP1/CH_HOP2 semantics)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.cluster.lowest_id import lowest_id_clustering
+from repro.cluster.lowest_id import lowest_id_clustering, lowest_id_rows
+from repro.cluster.state import ClusterStructure
+from repro.coverage.arrays import CoverageArrays
 from repro.coverage.policy import compute_all_coverage_pairs
 from repro.coverage.three_hop import three_hop_coverage
-from repro.coverage.two_five_hop import two_five_hop_coverage
+from repro.coverage.two_five_hop import (
+    two_five_hop_arrays,
+    two_five_hop_coverage,
+)
 from repro.errors import CoverageError
+from repro.geometry.area import Area
+from repro.geometry.disk import range_for_target_degree
+from repro.geometry.placement import uniform_placement
 from repro.graph.adjacency import Graph
+from repro.graph.csr import _PACK4_MAX, csr_from_positions
 from repro.graph.traversal import bfs_distances
 
 from coverage_oracle import ch_hop_walk, distance_walk
@@ -133,3 +143,49 @@ class TestOneWalkBothPolicies:
     @given(graph=arbitrary_graphs())
     def test_pair_matches_oracle_walks(self, graph):
         _assert_pair_matches_oracles(lowest_id_clustering(graph))
+
+
+class TestArraysAboveQuadPackingTier:
+    """The batched kernel at n > ``_PACK4_MAX``, where four row columns no
+    longer pack into one int64 key (metro ticks run at n = 100k).
+
+    Its quads must still come out strictly ascending in
+    ``(head, ch, v, w)``, and sampled heads must equal the literal
+    CH_HOP1/CH_HOP2 walk.
+    """
+
+    def test_quads_sorted_and_sampled_heads_match_walk(self):
+        n = 60_000
+        assert n > _PACK4_MAX
+        side = 100.0 * (n / 100.0) ** 0.5
+        area = Area(side, side)
+        rng = np.random.default_rng(3)
+        pts = uniform_placement(n, area, rng=rng)
+        csr = csr_from_positions(pts, range_for_target_degree(n, 12.0, area))
+        head_row = lowest_id_rows(csr)
+        cov = two_five_hop_arrays(csr, head_row)
+        assert cov.i_head.size > 0
+
+        pair = cov.i_head * n + cov.i_ch
+        step = np.diff(pair)
+        tail = np.diff(cov.i_v * n + cov.i_w)
+        assert (step >= 0).all()
+        assert (tail[step == 0] > 0).all()
+
+        ids = csr.ids
+        structure = ClusterStructure(
+            graph=csr.to_graph(),
+            head_of=dict(zip(ids.tolist(), ids[head_row].tolist())),
+        )
+        sample = np.sort(rng.choice(cov.heads, size=40, replace=False))
+        d_rows = np.isin(cov.d_head, sample)
+        i_rows = np.isin(cov.i_head, sample)
+        got = CoverageArrays(
+            csr=csr, policy=cov.policy, heads=sample,
+            d_head=cov.d_head[d_rows], d_ch=cov.d_ch[d_rows],
+            d_v=cov.d_v[d_rows], i_head=cov.i_head[i_rows],
+            i_ch=cov.i_ch[i_rows], i_v=cov.i_v[i_rows], i_w=cov.i_w[i_rows],
+        ).materialise_all()
+        assert any(s.c3 for s in got.values())
+        for head, cs in got.items():
+            assert cs == ch_hop_walk(structure, head)

@@ -11,7 +11,8 @@ kernel purely on size.
 
 ``repair_lowest_id_rows`` — the one stage a tick repairs rather than
 rebuilds — is pinned separately against the unconstrained fixpoint, so a
-clustering failure localises.
+clustering failure localises, and against the round-by-round repair of
+``repair_oracle`` on all four outputs, ``reevaluated`` included.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.lowest_id import lowest_id_rows, repair_lowest_id_rows
 from repro.geometry.area import Area
+from repro.geometry.disk import range_for_target_degree
 from repro.geometry.mobility import RandomWalk, RandomWaypoint
 from repro.geometry.placement import uniform_placement
 from repro.graph.csr import csr_from_positions
@@ -29,6 +31,8 @@ from repro.graph.network import Network
 from repro.maintenance.kernels import KernelMobilitySession, _sorted_diff
 from repro.maintenance.session import MobilitySession
 from repro.types import CoveragePolicy
+
+from repair_oracle import repair_rounds_from_scratch
 
 
 @st.composite
@@ -213,6 +217,34 @@ class TestRepairLowestId:
             reassigned, changed[~old_is_head[changed] & ~is_head[changed]]
         )
         assert np.isin(flipped, reevaluated).all()
+
+    @given(st.integers(2, 150), st.integers(0, 2**32 - 1),
+           st.sampled_from([6.0, 18.0]),
+           st.sampled_from([0.02, 0.2, 1.0, 4.0]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_round_by_round_oracle(self, n, seed, degree, shift,
+                                           extra_seeds):
+        """Warm-started rounds return exactly what re-solving the whole
+        ball every round returns: ``reevaluated`` included, at both paper
+        degrees, from near-static to fully reshuffled placements."""
+        rng = np.random.default_rng(seed)
+        area = Area(100.0, 100.0)
+        radius = range_for_target_degree(n, min(degree, n - 1.0), area)
+        before = uniform_placement(n, area, rng=rng)
+        after = area.clamp(
+            before + rng.normal(0.0, shift * radius, size=before.shape))
+        old_csr = csr_from_positions(before, radius)
+        new_csr = csr_from_positions(after, radius)
+        old_head = lowest_id_rows(old_csr)
+        delta = np.setxor1d(old_csr.edge_keys(), new_csr.edge_keys())
+        seeds = np.unique(delta // n)
+        if extra_seeds:
+            seeds = np.union1d(seeds, rng.choice(n, size=n // 4 + 1))
+        got = repair_lowest_id_rows(new_csr, old_head, seeds)
+        want = repair_rounds_from_scratch(new_csr, old_head, seeds)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
 
 
 class TestSortedDiff:
