@@ -9,6 +9,7 @@ depending on how many redundant CDS paths survive.
 
 import pytest
 
+from repro.workload.faultsweep import run_fault_sweep
 from repro.workload.robustness import run_robustness_sweep
 
 LOSSES = (0.0, 0.1, 0.2, 0.3)
@@ -39,40 +40,26 @@ def test_delivery_under_loss(benchmark):
 
 
 @pytest.mark.benchmark(group="ablation-robustness")
-def test_reliable_tree_under_loss(benchmark):
-    """The Pagani–Rossi-style ARQ tree: delivery bought with retransmissions."""
-    import numpy as np
-
-    from repro.broadcast.reliable import broadcast_reliable_tree
-    from repro.cluster.lowest_id import lowest_id_clustering
-    from repro.graph.generators import random_geometric_network
-
-    def measure():
-        rng = np.random.default_rng(11)
-        rows = []
-        for loss in LOSSES:
-            delivery, data, overhead = [], [], []
-            for _ in range(10):
-                net = random_geometric_network(50, 10.0, rng=rng)
-                cs = lowest_id_clustering(net.graph)
-                rb = broadcast_reliable_tree(
-                    cs, 0, loss_probability=loss, rng=rng
-                )
-                delivery.append(len(rb.result.received) / 50.0)
-                data.append(rb.data_transmissions)
-                overhead.append(rb.overhead_factor)
-            rows.append((loss, float(np.mean(delivery)),
-                         float(np.mean(data)), float(np.mean(overhead))))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+def test_reliable_backbone_under_loss(benchmark):
+    """ARQ over the backbones: delivery bought with retransmissions."""
+    points = benchmark.pedantic(
+        run_fault_sweep,
+        kwargs=dict(losses=LOSSES, n=50, average_degree=10.0, trials=10,
+                    crash_fraction=0.0, rng=11),
+        rounds=1, iterations=1,
+    )
+    reliable = ("reliable-si", "reliable-sd")
     print()
-    print(f"{'loss':>6} | {'delivery':>9} {'data tx':>8} {'tx/fwd':>7}")
-    for loss, delivery, data, overhead in rows:
-        print(f"{loss:>6g} | {delivery:>9.3f} {data:>8.1f} {overhead:>7.2f}")
-    # Reliability holds at every loss level the sweep uses...
-    for _loss, delivery, _data, _overhead in rows:
-        assert delivery == pytest.approx(1.0)
-    # ...and its price is monotone in the loss rate.
-    datas = [r[2] for r in rows]
-    assert datas == sorted(datas)
+    print(f"{'loss':>6} | {'sd':>6} " + " ".join(
+        f"{name + ' deliv':>17} {'tx/node':>7}" for name in reliable))
+    for p in points:
+        print(f"{p.loss_probability:>6g} | {p.delivery['sd']:>6.3f} "
+              + " ".join(f"{p.delivery[name]:>17.3f} {p.overhead[name]:>7.2f}"
+                         for name in reliable))
+    for name in reliable:
+        # Reliability holds at every loss level the sweep uses...
+        for p in points:
+            assert p.delivery[name] == pytest.approx(1.0)
+        # ...and its price is monotone in the loss rate.
+        overheads = [p.overhead[name] for p in points]
+        assert overheads == sorted(overheads)

@@ -14,8 +14,11 @@ Run:  python examples/mobility_maintenance.py
 
 from repro.geometry.mobility import RandomWalk
 from repro.graph.generators import random_geometric_network
-from repro.maintenance.live import LiveMaintenanceSession
-from repro.maintenance.session import MobilitySession
+from repro.maintenance import (
+    MobilitySession,
+    rebuild_messages,
+    resignalling_messages,
+)
 
 SPEEDS = (0.5, 2.0, 5.0, 10.0)
 TICKS = 12
@@ -23,6 +26,39 @@ N = 50
 
 
 def main() -> None:
+    churn_rows, message_rows = [], []
+    t = float(TICKS)
+    for speed in SPEEDS:
+        net = random_geometric_network(N, 10.0, rng=7)
+        session = MobilitySession(
+            net, RandomWalk(speed=speed, area=net.area, rng=int(speed * 10))
+        )
+        before = session.backbone
+        link = flips = reassign = turnover = resignal = 0.0
+        hello = decl = chhop = gatew = total = rebuild = 0.0
+        for report in session.run(TICKS):
+            assert report.cluster_churn and report.backbone_churn
+            link += report.link_changes
+            flips += report.cluster_churn.role_change_count
+            reassign += len(report.cluster_churn.reassigned_members)
+            turnover += report.backbone_churn.gateway_turnover
+            resignal += len(report.backbone_churn.heads_with_new_selection)
+            messages = resignalling_messages(before, report.backbone)
+            before = report.backbone
+            hello += messages["hello"]
+            decl += messages["declaration"]
+            chhop += messages["ch_hop1"] + messages["ch_hop2"]
+            gatew += messages["gateway"]
+            total += sum(messages.values())
+            rebuild += rebuild_messages(report.backbone)
+        churn_rows.append(f"{speed:>6g} | {link / t:>6.1f} {flips / t:>6.1f} "
+                          f"{reassign / t:>8.1f} {turnover / t:>9.1f} "
+                          f"{resignal / t:>10.1f}")
+        message_rows.append(f"{speed:>6g} | {hello / t:>6.1f} "
+                            f"{decl / t:>6.1f} {chhop / t:>6.1f} "
+                            f"{gatew / t:>6.1f} {total / t:>6.1f} "
+                            f"{rebuild / t:>8.1f} {1 - total / rebuild:>6.0%}")
+
     print(f"static-backbone maintenance, n={N}, d=10, {TICKS} ticks "
           f"(averages per tick)\n")
     header = (f"{'speed':>6} | {'link':>6} {'head':>6} {'member':>8} "
@@ -31,23 +67,7 @@ def main() -> None:
     print(f"{'':>6} | {'churn':>6} {'flips':>6} {'reassign':>8} "
           f"{'turnover':>9} {'signalling':>10}")
     print("-" * len(header))
-    for speed in SPEEDS:
-        net = random_geometric_network(N, 10.0, rng=7)
-        session = MobilitySession(
-            net, RandomWalk(speed=speed, area=net.area, rng=int(speed * 10))
-        )
-        link = flips = reassign = turnover = resignal = 0.0
-        for report in session.run(TICKS):
-            assert report.cluster_churn and report.backbone_churn
-            link += report.link_changes
-            flips += report.cluster_churn.role_change_count
-            reassign += len(report.cluster_churn.reassigned_members)
-            turnover += report.backbone_churn.gateway_turnover
-            resignal += len(report.backbone_churn.heads_with_new_selection)
-        t = float(TICKS)
-        print(f"{speed:>6g} | {link / t:>6.1f} {flips / t:>6.1f} "
-              f"{reassign / t:>8.1f} {turnover / t:>9.1f} "
-              f"{resignal / t:>10.1f}")
+    print("\n".join(churn_rows))
     print("\nEvery re-signalling head re-runs the CH_HOP exchange and a "
           "GATEWAY flood;\nthe dynamic backbone avoids all of it by "
           "selecting gateways per broadcast.")
@@ -56,23 +76,7 @@ def main() -> None:
           "vs full rebuild):\n")
     print(f"{'speed':>6} | {'hello':>6} {'decl':>6} {'chhop':>6} "
           f"{'gatew':>6} {'total':>6} {'rebuild':>8} {'saved':>6}")
-    for speed in SPEEDS:
-        net = random_geometric_network(N, 10.0, rng=7)
-        live = LiveMaintenanceSession(
-            net, RandomWalk(speed=speed, area=net.area, rng=int(speed * 10))
-        )
-        reports = live.run(TICKS)
-        t = float(TICKS)
-        hello = sum(r.messages["hello"] for r in reports) / t
-        decl = sum(r.messages["declaration"] for r in reports) / t
-        chhop = sum(r.messages["ch_hop1"] + r.messages["ch_hop2"]
-                    for r in reports) / t
-        gatew = sum(r.messages["gateway"] for r in reports) / t
-        total = sum(r.total for r in reports) / t
-        rebuild = sum(r.rebuild_messages for r in reports) / t
-        print(f"{speed:>6g} | {hello:>6.1f} {decl:>6.1f} {chhop:>6.1f} "
-              f"{gatew:>6.1f} {total:>6.1f} {rebuild:>8.1f} "
-              f"{1 - total / rebuild:>6.0%}")
+    print("\n".join(message_rows))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from repro.broadcast.passive_clustering import (
     broadcast_passive_clustering,
 )
 from repro.broadcast.rad import RadBroadcast, broadcast_rad
-from repro.broadcast.reliable import ReliableBroadcast, broadcast_reliable_tree
 from repro.broadcast.result import BroadcastResult
 from repro.broadcast.sd_cds import DynamicBroadcast, broadcast_sd
 from repro.broadcast.si_cds import broadcast_si
@@ -56,6 +55,4 @@ __all__ = [
     "broadcast_passive_clustering",
     "PassiveClusteringBroadcast",
     "PassiveState",
-    "broadcast_reliable_tree",
-    "ReliableBroadcast",
 ]

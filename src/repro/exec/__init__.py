@@ -33,7 +33,6 @@ from repro.exec.scenarios import (
     Scenario,
     ScenarioCache,
     ScenarioKey,
-    connected_network,
     connected_scenario,
     get_scenario_cache,
     scenario_positions,
@@ -70,7 +69,6 @@ __all__ = [
     "TrialSpec",
     "as_backend",
     "classify_failure",
-    "connected_network",
     "connected_scenario",
     "get_scenario_cache",
     "open_journal",

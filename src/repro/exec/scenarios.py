@@ -207,23 +207,6 @@ def connected_scenario(
     return target.get(key)
 
 
-def connected_network(
-    n: int,
-    degree: float,
-    *,
-    area: Optional[Area] = None,
-    torus: bool = False,
-    root: int = 0,
-    index: int = 0,
-    cache: Optional[ScenarioCache] = None,
-) -> Network:
-    """:func:`connected_scenario`, returning just the network."""
-    return connected_scenario(
-        n, degree, area=area, torus=torus, root=root, index=index,
-        cache=cache,
-    ).network
-
-
 _POSITIONS: Dict[Tuple[int, int, int, int, int], np.ndarray] = {}
 _POSITIONS_LOCK = threading.Lock()
 

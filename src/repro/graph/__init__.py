@@ -3,7 +3,7 @@
 A deliberately small, dependency-light graph layer.  :class:`Graph` stores
 undirected adjacency sets keyed by integer node ids; everything the paper
 needs (k-hop neighbourhoods, connectivity, dominating/independent-set
-predicates) lives here, with a :mod:`networkx` bridge for interoperability.
+predicates) lives here.
 """
 
 from repro.graph.adjacency import Graph
@@ -12,7 +12,6 @@ from repro.graph.connectivity import (
     connected_components,
     is_connected,
     is_strongly_connected,
-    UnionFind,
 )
 from repro.graph.generators import (
     chain_graph,
@@ -22,7 +21,6 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.network import Network
-from repro.graph.nx_compat import from_networkx, to_networkx
 from repro.graph.properties import (
     degree_stats,
     is_connected_dominating_set,
@@ -52,11 +50,8 @@ __all__ = [
     "is_connected",
     "is_strongly_connected",
     "connected_components",
-    "UnionFind",
     "is_dominating_set",
     "is_independent_set",
     "is_connected_dominating_set",
     "degree_stats",
-    "to_networkx",
-    "from_networkx",
 ]

@@ -9,64 +9,10 @@ directed checks live here.  Directed graphs are represented as plain
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Dict, List, Mapping, Set
 
 from repro.graph.adjacency import Graph
 from repro.types import NodeId
-
-
-class UnionFind:
-    """Disjoint-set forest with path halving and union by size.
-
-    Used by the maintenance extension to track connectivity incrementally as
-    links appear.
-    """
-
-    __slots__ = ("_parent", "_size", "_components")
-
-    def __init__(self, elements: Iterable[NodeId] = ()) -> None:
-        self._parent: Dict[NodeId, NodeId] = {}
-        self._size: Dict[NodeId, int] = {}
-        self._components = 0
-        for e in elements:
-            self.add(e)
-
-    def add(self, e: NodeId) -> None:
-        """Register ``e`` as a singleton set (no-op if present)."""
-        if e not in self._parent:
-            self._parent[e] = e
-            self._size[e] = 1
-            self._components += 1
-
-    def find(self, e: NodeId) -> NodeId:
-        """Representative of ``e``'s set (with path halving)."""
-        parent = self._parent
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(self, a: NodeId, b: NodeId) -> bool:
-        """Merge the sets of ``a`` and ``b``; returns ``True`` if they were
-        previously disjoint."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self._components -= 1
-        return True
-
-    def connected(self, a: NodeId, b: NodeId) -> bool:
-        """Whether ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    @property
-    def num_components(self) -> int:
-        """Current number of disjoint sets."""
-        return self._components
 
 
 def connected_components(graph: Graph) -> List[Set[NodeId]]:

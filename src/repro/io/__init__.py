@@ -10,7 +10,6 @@ from repro.io.results import (
     tables_to_json,
     tables_to_markdown,
 )
-from repro.io.trace_json import trace_to_json
 
 __all__ = [
     "save_network",
@@ -22,5 +21,4 @@ __all__ = [
     "tables_to_csv",
     "tables_to_json",
     "tables_to_markdown",
-    "trace_to_json",
 ]

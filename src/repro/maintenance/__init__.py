@@ -6,7 +6,10 @@ This package makes the argument measurable: drive a network with a mobility
 model, re-derive clustering/backbone each tick, and account the churn —
 role flips, head reassignments, gateway turnover and the number of
 clusterheads whose coverage sets changed (i.e. how much of the CH_HOP /
-GATEWAY signalling would have to be repeated).
+GATEWAY signalling would have to be repeated).  Fed two consecutive
+backbones, :func:`resignalling_messages` counts the messages an incremental
+maintainer would resend, and :func:`rebuild_messages` the cost of rebuilding
+from scratch instead.
 
 Two routes compute the same ticks: :class:`MobilitySession` rebuilds the
 object layer (dict/set graphs) from scratch, and above the CSR cutover it
@@ -21,9 +24,10 @@ from repro.maintenance.stability import (
     ClusterChurn,
     backbone_churn,
     cluster_churn,
+    rebuild_messages,
+    resignalling_messages,
 )
 from repro.maintenance.kernels import KernelMobilitySession, KernelTickReport
-from repro.maintenance.live import LiveEpochReport, LiveMaintenanceSession
 from repro.maintenance.session import MaintenanceReport, MobilitySession
 
 __all__ = [
@@ -31,10 +35,10 @@ __all__ = [
     "BackboneChurn",
     "cluster_churn",
     "backbone_churn",
+    "resignalling_messages",
+    "rebuild_messages",
     "MobilitySession",
     "MaintenanceReport",
     "KernelMobilitySession",
     "KernelTickReport",
-    "LiveMaintenanceSession",
-    "LiveEpochReport",
 ]

@@ -20,7 +20,6 @@ algorithms, and the statistics back the paper's O(n) message/time claims.
 """
 
 from repro.protocols.hello import HelloProtocol
-from repro.protocols.neighbour_watch import LinkEvent, NeighbourWatchProtocol
 from repro.protocols.clustering import DistributedLowestIdClustering
 from repro.protocols.coverage import CoverageExchangeProtocol
 from repro.protocols.gateway import GatewayDesignationProtocol
@@ -38,8 +37,6 @@ from repro.protocols.runner import (
 
 __all__ = [
     "HelloProtocol",
-    "NeighbourWatchProtocol",
-    "LinkEvent",
     "DistributedLowestIdClustering",
     "CoverageExchangeProtocol",
     "GatewayDesignationProtocol",

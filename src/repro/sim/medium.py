@@ -116,7 +116,8 @@ class WirelessMedium:
         self._rng = ensure_rng(rng) if loss_probability > 0.0 else None
         self.trace = trace if trace is not None else TraceRecorder()
         self._receivers: Dict[NodeId, DeliveryHandler] = {}
-        #: Sender -> its neighbours in ascending id order, for this graph.
+        #: Sender -> its neighbours in ascending id order.  A medium's
+        #: graph is fixed for its lifetime, so this never needs clearing.
         self._sorted_neighbours: Dict[NodeId, Tuple[NodeId, ...]] = {}
         #: Optional fault filter (see :class:`FaultHook`); ``None`` = ideal.
         self.fault_hook: Optional[FaultHook] = None
@@ -135,22 +136,6 @@ class WirelessMedium:
         self.channel = channel
         if channel is not None:
             channel.bind(self)
-
-    def update_graph(self, graph: Graph) -> None:
-        """Swap the topology under a running simulation (mobility).
-
-        In-flight deliveries already scheduled are unaffected (they were
-        physically transmitted under the old topology); future
-        transmissions use the new adjacency.  The node set must not change.
-        The medium caches sorted neighbours per graph, so swap graphs here
-        rather than mutating one in place.
-        """
-        if set(graph.nodes()) != set(self.graph.nodes()):
-            raise SimulationError(
-                "update_graph must preserve the node set"
-            )
-        self.graph = graph
-        self._sorted_neighbours = {}
 
     def set_loss(self, probability: float, rng: RngLike = None) -> None:
         """Reconfigure the loss model mid-run.

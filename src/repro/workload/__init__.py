@@ -18,7 +18,6 @@ from repro.workload.contention import ContentionPoint, run_contention_sweep
 from repro.workload.faultsweep import FaultSweepPoint, run_fault_sweep
 from repro.workload.mobility_scaling import (
     MobilityScalingPoint,
-    make_mobility_trial,
     run_mobility_scaling,
 )
 from repro.workload.robustness import RobustnessPoint, run_robustness_sweep
@@ -45,5 +44,4 @@ __all__ = [
     "run_scaling_study",
     "MobilityScalingPoint",
     "run_mobility_scaling",
-    "make_mobility_trial",
 ]

@@ -25,7 +25,7 @@ orders of magnitude beyond the paper's n=100.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -182,46 +182,3 @@ def run_mobility_scaling(
             on_point(point)
     return points
 
-
-def make_mobility_trial(
-    *,
-    n: int = 2_000,
-    ticks: int = 5,
-    average_degree: float = 12.0,
-    speed_fraction: float = 0.05,
-    dt: float = 1.0,
-) -> Callable[[int, np.random.Generator], Mapping[str, float]]:
-    """:class:`~repro.exec.spec.TrialSpec` factory for mobility trials.
-
-    The returned trial runs a fresh kernel session for ``ticks`` and
-    reports churn-rate metrics, so ``paired_trials`` can drive mobility
-    maintenance through the same confidence-interval harness — and the
-    same process backend — as the paper figures.  Trial ``i`` consumes
-    spawned child stream ``i`` only (the backend-agnostic contract).
-    """
-
-    def trial(
-        trial_index: int, generator: np.random.Generator
-    ) -> Mapping[str, float]:
-        scenario_root = derive_seed(generator)
-        session = _kernel_session(
-            n, average_degree, speed_fraction, scenario_root,
-            np.random.default_rng(derive_seed(generator)),
-        )
-        reports = session.run(ticks, dt)
-        return {
-            "link_changes_per_tick": float(
-                np.mean([r.link_changes for r in reports])
-            ),
-            "head_flip_rate": float(
-                np.mean([r.flipped for r in reports])
-            ) / n,
-            "reaffiliation_rate": float(
-                np.mean([r.reassigned for r in reports])
-            ) / n,
-            "resignalling_per_tick": float(
-                np.mean([r.resignalling for r in reports])
-            ),
-        }
-
-    return trial

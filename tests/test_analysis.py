@@ -1,9 +1,8 @@
-"""Tests for the analysis package (latency, redundancy, cluster shape)."""
+"""Tests for the analysis package (latency, redundancy)."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.clusters import cluster_report
 from repro.analysis.latency import latency_stretch, latency_study
 from repro.analysis.redundancy import redundancy_report
 from repro.backbone.static_backbone import build_static_backbone
@@ -14,7 +13,6 @@ from repro.cluster.lowest_id import lowest_id_clustering
 from repro.errors import BroadcastError, ConfigurationError
 from repro.graph.adjacency import Graph
 from repro.graph.generators import (
-    chain_graph,
     random_geometric_network,
     star_graph,
 )
@@ -96,32 +94,3 @@ class TestRedundancy:
         rep = redundancy_report(fig3_graph, r)
         assert rep.total_receptions == 2 * fig3_graph.num_edges
 
-
-class TestClusterReport:
-    def test_figure3(self, fig3_clustering):
-        rep = cluster_report(fig3_clustering)
-        assert rep.num_clusters == 4
-        assert rep.size.maximum == 4.0  # cluster 1: head + 3 members
-        assert rep.singleton_clusters == 1  # cluster 4
-        # Gateway candidates: every non-head adjacent to a foreign cluster.
-        assert rep.gateway_candidates == 6  # 5,6,7,8,9,10 all border others
-
-    def test_chain(self):
-        cs = lowest_id_clustering(chain_graph(6))
-        rep = cluster_report(cs)
-        assert rep.num_clusters == 3
-        assert rep.mean_size == 2.0
-
-    def test_empty_clustering_rejected(self):
-        cs = lowest_id_clustering(Graph())
-        with pytest.raises(ConfigurationError):
-            cluster_report(cs)
-
-    @settings(max_examples=25, deadline=None)
-    @given(graph=connected_graphs())
-    def test_sizes_partition_nodes(self, graph):
-        cs = lowest_id_clustering(graph)
-        rep = cluster_report(cs)
-        assert rep.size.mean * rep.num_clusters == pytest.approx(
-            graph.num_nodes
-        )

@@ -8,7 +8,6 @@ from repro.exec.scenarios import (
     Scenario,
     ScenarioCache,
     ScenarioKey,
-    connected_network,
     connected_scenario,
     get_scenario_cache,
     scenario_positions,
@@ -79,8 +78,8 @@ class TestConnectedScenario:
 
     def test_cross_experiment_pairing(self):
         """Two 'experiments' agreeing on (root, env, index) share samples."""
-        fig_a = connected_network(20, 8.0, root=7, index=3)
-        fig_b = connected_network(20, 8.0, root=7, index=3)
+        fig_a = connected_scenario(20, 8.0, root=7, index=3).network
+        fig_b = connected_scenario(20, 8.0, root=7, index=3).network
         assert fig_a is fig_b  # not merely equal: the same cached object
 
     def test_explicit_cache_and_bypass(self):

@@ -1,10 +1,9 @@
-"""Tests for connectivity predicates and union-find."""
+"""Tests for connectivity predicates."""
 
 import pytest
 
 from repro.graph.adjacency import Graph
 from repro.graph.connectivity import (
-    UnionFind,
     connected_components,
     is_connected,
     is_strongly_connected,
@@ -59,32 +58,3 @@ class TestStrongConnectivity:
         with pytest.raises(KeyError):
             is_strongly_connected({0: {1}})
 
-
-class TestUnionFind:
-    def test_union_and_find(self):
-        uf = UnionFind(range(5))
-        assert uf.num_components == 5
-        assert uf.union(0, 1)
-        assert uf.connected(0, 1)
-        assert not uf.connected(0, 2)
-        assert uf.num_components == 4
-
-    def test_union_idempotent(self):
-        uf = UnionFind(range(3))
-        uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.num_components == 2
-
-    def test_add_is_idempotent(self):
-        uf = UnionFind()
-        uf.add(1)
-        uf.add(1)
-        assert uf.num_components == 1
-
-    def test_transitive(self):
-        uf = UnionFind(range(4))
-        uf.union(0, 1)
-        uf.union(2, 3)
-        uf.union(1, 2)
-        assert uf.connected(0, 3)
-        assert uf.num_components == 1

@@ -175,30 +175,6 @@ class TestMarkdown:
         assert "| 40 | 9.00 |" in text
 
 
-class TestTraceJson:
-    def test_roundtrippable_document(self, tmp_path):
-        import json
-
-        from repro.graph.generators import paper_figure3_graph
-        from repro.io.trace_json import trace_to_json
-        from repro.protocols.runner import run_distributed_build
-
-        build = run_distributed_build(paper_figure3_graph())
-        path = tmp_path / "trace.json"
-        count = trace_to_json(build.network.trace, path)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "repro-trace"
-        assert doc["total_messages"] == count == len(doc["transmissions"])
-        assert doc["total_volume"] == build.network.trace.total_volume
-        types = {t["type"] for t in doc["transmissions"]}
-        assert {"Hello", "ClusterHead", "NonClusterHead", "ChHop1",
-                "ChHop2", "Gateway"} <= types
-        # CH_HOP payloads survive serialisation.
-        hop1_9 = next(t for t in doc["transmissions"]
-                      if t["type"] == "ChHop1" and t["sender"] == 9)
-        assert sorted(hop1_9["payload"]["heads"]) == [3, 4]
-
-
 class TestAtomicWrites:
     """Result files are replaced atomically — never observable half-written."""
 

@@ -1,4 +1,4 @@
-"""Tests for churn metrics and mobility sessions."""
+"""Tests for churn metrics, message accounting and mobility sessions."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,13 @@ from repro.geometry.mobility import MobilityModel, RandomWalk, RandomWaypoint
 from repro.graph.adjacency import Graph
 from repro.graph.generators import random_geometric_network
 from repro.maintenance.session import MobilitySession
-from repro.maintenance.stability import backbone_churn, cluster_churn
+from repro.maintenance.stability import (
+    backbone_churn,
+    cluster_churn,
+    rebuild_messages,
+    resignalling_messages,
+)
+from repro.types import CoveragePolicy
 
 
 def clustering_of(edges, extra_nodes=()):
@@ -120,6 +126,154 @@ class TestMobilitySession:
             return sum(r.link_changes for r in session.run(8))
 
         assert total_churn(0.5) < total_churn(8.0)
+
+
+#: (policy, seed, speed) -> per tick (hello, declaration, ch_hop1,
+#: ch_hop2, gateway, rebuild) recorded from the former
+#: LiveMaintenanceSession, whose accounting these functions replace.
+LIVE_GOLDEN = {
+    ("2.5-hop", 21, 0.5): [
+        (10, 9, 12, 13, 11, 168), (5, 0, 0, 3, 2, 168),
+        (6, 0, 1, 1, 0, 168), (9, 10, 13, 16, 13, 168),
+        (13, 1, 3, 8, 12, 168), (10, 0, 2, 6, 6, 168),
+    ],
+    ("2.5-hop", 21, 2.0): [
+        (23, 10, 14, 17, 20, 166), (19, 1, 3, 11, 17, 167),
+        (17, 0, 2, 10, 10, 166), (21, 14, 23, 23, 23, 167),
+        (23, 4, 7, 25, 25, 169), (13, 1, 4, 10, 20, 169),
+    ],
+    ("2.5-hop", 21, 6.0): [
+        (31, 14, 20, 24, 23, 169), (35, 8, 17, 21, 19, 165),
+        (36, 8, 23, 21, 25, 169), (36, 15, 25, 31, 17, 165),
+        (35, 6, 19, 28, 26, 170), (36, 6, 13, 22, 24, 168),
+    ],
+    ("2.5-hop", 33, 0.5): [
+        (10, 3, 9, 13, 6, 166), (12, 1, 2, 10, 3, 166),
+        (12, 3, 8, 14, 13, 168), (10, 3, 8, 10, 15, 167),
+        (8, 4, 9, 17, 18, 168), (13, 7, 12, 19, 23, 167),
+    ],
+    ("2.5-hop", 33, 2.0): [
+        (27, 17, 28, 24, 29, 171), (27, 14, 26, 27, 23, 169),
+        (24, 14, 25, 29, 30, 172), (20, 13, 24, 25, 22, 169),
+        (23, 13, 17, 28, 21, 168), (25, 8, 23, 24, 25, 169),
+    ],
+    ("2.5-hop", 33, 6.0): [
+        (38, 16, 27, 24, 26, 170), (38, 18, 23, 30, 27, 171),
+        (38, 14, 25, 31, 21, 167), (36, 14, 27, 29, 24, 168),
+        (35, 10, 22, 27, 26, 172), (35, 10, 20, 29, 21, 167),
+    ],
+    ("3-hop", 21, 0.5): [
+        (10, 9, 12, 13, 13, 168), (5, 0, 0, 3, 0, 168),
+        (6, 0, 1, 1, 0, 168), (9, 10, 13, 16, 15, 168),
+        (13, 1, 3, 8, 11, 169), (10, 0, 2, 6, 4, 168),
+    ],
+    ("3-hop", 21, 2.0): [
+        (23, 10, 14, 17, 21, 167), (19, 1, 3, 11, 19, 167),
+        (17, 0, 2, 10, 16, 167), (21, 14, 23, 23, 23, 167),
+        (23, 4, 7, 25, 23, 170), (13, 1, 4, 10, 22, 169),
+    ],
+    ("3-hop", 21, 6.0): [
+        (31, 14, 20, 24, 23, 169), (35, 8, 17, 21, 21, 167),
+        (36, 8, 23, 21, 25, 169), (36, 15, 25, 31, 17, 165),
+        (35, 6, 19, 28, 27, 171), (36, 6, 13, 22, 25, 169),
+    ],
+    ("3-hop", 33, 0.5): [
+        (10, 3, 9, 13, 6, 166), (12, 1, 2, 10, 0, 166),
+        (12, 3, 8, 14, 19, 168), (10, 3, 8, 10, 15, 167),
+        (8, 4, 9, 17, 16, 168), (13, 7, 12, 19, 13, 168),
+    ],
+    ("3-hop", 33, 2.0): [
+        (27, 17, 28, 24, 31, 173), (27, 14, 26, 27, 20, 170),
+        (24, 14, 25, 29, 30, 172), (20, 13, 24, 25, 24, 170),
+        (23, 13, 17, 28, 20, 169), (25, 8, 23, 24, 26, 170),
+    ],
+    ("3-hop", 33, 6.0): [
+        (38, 16, 27, 24, 25, 169), (38, 18, 23, 30, 27, 171),
+        (38, 14, 25, 31, 21, 167), (36, 14, 27, 29, 24, 168),
+        (35, 10, 22, 27, 26, 172), (35, 10, 20, 29, 22, 168),
+    ],
+}
+
+
+def accounted_run(speed, seed=21, n=40, ticks=1, dt=1.0,
+                  policy=CoveragePolicy.TWO_FIVE_HOP):
+    """(report, resignalling messages) per tick of a mobility session."""
+    net = random_geometric_network(n, 10.0, rng=seed)
+    session = MobilitySession(
+        net, RandomWalk(speed=speed, area=net.area, rng=seed), policy
+    )
+    before = session.backbone
+    out = []
+    for report in session.run(ticks, dt):
+        out.append((report, resignalling_messages(before, report.backbone)))
+        before = report.backbone
+    return out
+
+
+class TestMessageAccounting:
+    @pytest.mark.parametrize("key", sorted(LIVE_GOLDEN),
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_matches_golden(self, key):
+        policy, seed, speed = key
+        got = [
+            (*messages.values(), rebuild_messages(report.backbone))
+            for report, messages in accounted_run(
+                speed, seed=seed, ticks=6, policy=CoveragePolicy(policy)
+            )
+        ]
+        assert got == LIVE_GOLDEN[key]
+
+    def test_stationary_zero_cost(self):
+        [(report, messages)] = accounted_run(speed=0.0)
+        assert sum(messages.values()) == 0
+        assert report.link_changes == 0
+        assert rebuild_messages(report.backbone) > 0
+
+    def test_movement_costs_messages(self):
+        [(report, messages)] = accounted_run(speed=4.0)
+        assert report.link_changes > 0
+        assert sum(messages.values()) > 0
+        assert messages["hello"] > 0
+
+    def test_incremental_cheaper_than_rebuild_at_low_speed(self):
+        run = accounted_run(speed=0.5, ticks=10)
+        totals = sum(sum(messages.values()) for _, messages in run)
+        rebuilds = sum(rebuild_messages(r.backbone) for r, _ in run)
+        assert 0 < totals < rebuilds  # slow movement still costs something
+
+    def test_cost_grows_with_speed(self):
+        def total_cost(speed):
+            run = accounted_run(speed=speed, seed=33, ticks=8)
+            return sum(sum(messages.values()) for _, messages in run)
+
+        assert total_cost(0.5) < total_cost(6.0)
+
+    def test_message_keys_fixed(self):
+        [(_, messages)] = accounted_run(speed=2.0)
+        assert list(messages) == [
+            "hello", "declaration", "ch_hop1", "ch_hop2", "gateway",
+        ]
+
+    def test_one_count_per_tick(self):
+        run = accounted_run(speed=1.0, ticks=5, dt=2.0)
+        assert [r.time for r, _ in run] == [2.0, 4.0, 6.0, 8.0, 10.0]
+
+    def test_rebuild_cost_matches_distributed_build_magnitude(self):
+        # The analytic rebuild cost should approximate what the simulator
+        # actually sends for a full construction of the same snapshot.
+        from repro.protocols.runner import run_distributed_build
+
+        [(report, _)] = accounted_run(speed=0.0, seed=8)
+        build = run_distributed_build(report.network.graph)
+        assert rebuild_messages(report.backbone) == pytest.approx(
+            build.total_messages, rel=0.05
+        )
+
+    def test_node_set_mismatch_rejected(self):
+        before = build_static_backbone(clustering_of([(1, 2)]))
+        after = build_static_backbone(clustering_of([(1, 2), (2, 3)]))
+        with pytest.raises(ConfigurationError):
+            resignalling_messages(before, after)
 
 
 class Exile(MobilityModel):
