@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper bench-faults bench-channel bench-broadcast bench-mobility bench-parallel bench-serve perfbench-selftest chaos serve-chaos figures examples lint clean
+.PHONY: install test bench bench-paper bench-faults bench-parallel perfbench-selftest chaos serve-chaos figures examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -22,20 +22,8 @@ bench-paper:
 bench-faults:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fault_sweep.py
 
-bench-channel:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_channel.py --gate
-
-bench-broadcast:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_broadcast_kernels.py --gate
-
-bench-mobility:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_mobility_kernels.py --gate
-
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_trials_parallel.py
-
-bench-serve:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py
 
 perfbench-selftest:
 	$(PYTHON) perfbench/selftest.py
@@ -46,7 +34,6 @@ chaos:
 
 serve-chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos_serve.py tests/test_serve_protocol.py tests/test_serve_service.py tests/test_serve_server.py -m "slow or not slow"
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py --quick
 
 figures:
 	$(PYTHON) -m repro.cli experiment fig6 --ci

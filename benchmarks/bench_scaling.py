@@ -10,8 +10,9 @@ Run as a script with ``--large`` to push the CSR kernels to ``n=100000``
 construction throughput and process peak RSS — to ``BENCH_trials.json``.
 Add ``--broadcast`` to also run the SD broadcast-delivery kernel over the
 giant component (array-native end to end; this is how the ``n=1000000``
-broadcast point is produced) and ``--gate`` to fail if throughput
-regressed below 0.7x the last committed point with the same label.
+broadcast point is produced).  Regressions of the n=100k pipeline are
+gated by the repository benchmark's ``metro-n100k`` workload
+(``perfbench/``), not here.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro import perf
-from repro.io.results import append_perf_point, latest_perf_point
+from repro.io.results import append_perf_point
 from repro.workload.scaling import run_scaling_study
 
 NS = (100, 300, 1000, 3000)
@@ -97,25 +98,6 @@ def run_large(n: int = 100_000, degree: float = 12.0, seed: int = 1,
     return summary
 
 
-def gate_against_recorded(summary: dict, bench_file: Path,
-                          floor: float = 0.7) -> None:
-    """Fail if throughput fell below ``floor`` times the last same-label
-    point in ``bench_file`` (construction and, when present, broadcast)."""
-    recorded = latest_perf_point(bench_file, summary["label"])
-    if recorded is None:
-        raise SystemExit(f"gate: no recorded point labelled "
-                         f"{summary['label']!r} in {bench_file}")
-    for metric in ("nodes_per_sec", "broadcast_nodes_per_sec"):
-        if metric not in summary or metric not in recorded:
-            continue
-        ratio = summary[metric] / recorded[metric]
-        status = "ok" if ratio >= floor else "REGRESSION"
-        print(f"gate {metric}: {summary[metric]:,} vs recorded "
-              f"{recorded[metric]:,} ({ratio:.2f}x, floor {floor}) {status}")
-        if ratio < floor:
-            raise SystemExit(1)
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit status."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -126,9 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--broadcast", action="store_true",
                         help="include the SD broadcast-delivery kernel")
-    parser.add_argument("--gate", action="store_true",
-                        help="compare against the last committed point "
-                             "instead of recording a new one")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--bench-file", type=Path, default=BENCH_FILE)
     parser.add_argument("--no-record", action="store_true")
@@ -148,9 +127,6 @@ def main(argv=None) -> int:
               f"({summary['nodes_per_sec']:,.0f} nodes/s), "
               f"peak RSS {summary['peak_rss_bytes'] / 2**20:.0f} MiB, "
               f"backbone fraction {summary['backbone_fraction']:.3f}{extra}")
-    if args.gate:
-        gate_against_recorded(summary, args.bench_file)
-        return 0
     if not args.no_record:
         length = append_perf_point(args.bench_file, summary)
         print(f"recorded trajectory point {length} in {args.bench_file}")

@@ -62,7 +62,9 @@ from repro.types import CoveragePolicy, NodeId, PruningLevel
 #: centralised reference implementations to the array kernels.  Paper-scale
 #: networks (n <= 100) stay on the reference path, keeping the regression
 #: goldens byte-identical; from a few hundred nodes the kernels win by a
-#: growing margin (see benchmarks/bench_broadcast_kernels.py).
+#: growing margin (5.55x on the broadcast stage at n=2000, batch 128:
+#: ``BENCH_trials.json`` label ``broadcast-kernels-n2000-b128``).  The
+#: crossover itself is not measured yet; ROADMAP item 6 re-measures it.
 KERNEL_CUTOVER = 256
 
 _EMPTY = np.empty(0, dtype=np.int64)

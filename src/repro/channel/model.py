@@ -124,6 +124,6 @@ class IdealChannel(ChannelModel):
     with perfect reception) while the PHY stays the paper's assumption.
     With no MAC attached, a medium carrying an :class:`IdealChannel` is
     bit-identical to one carrying no channel at all — same events, same
-    trace, same RNG consumption — which the composition tests and the
-    ``bench_channel`` CI gate pin down.
+    trace, same RNG consumption — which ``tests/test_channel_model.py``
+    and the composition tests pin down.
     """

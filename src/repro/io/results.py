@@ -228,18 +228,6 @@ def append_perf_point(path: PathLike, point: dict) -> int:
     return len(points)
 
 
-def latest_perf_point(path: PathLike, label: str) -> Union[dict, None]:
-    """The most recent trajectory point with ``label``, or ``None``.
-
-    The comparison anchor for regression gates: benchmarks compare their
-    fresh measurement against this before appending it.
-    """
-    for rec in reversed(load_perf_trajectory(path)):
-        if rec.get("label") == label:
-            return rec
-    return None
-
-
 def tables_to_markdown(tables: Iterable[SeriesTable],
                        path: PathLike) -> int:
     """Write each table as a GitHub-flavoured markdown table.

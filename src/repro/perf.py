@@ -7,8 +7,8 @@ nests inside ``broadcast`` and is attributed exclusively) and
 ``maintenance`` (per-tick mobility upkeep, with ``maintenance.step`` /
 ``maintenance.delta`` / ``maintenance.repair`` sub-stages nested inside
 it) — so sweeps can report *where* their time goes instead of one opaque
-total.  The ``repro perf`` CLI subcommand and
-``benchmarks/bench_trials_parallel.py`` are the consumers.
+total.  The ``repro perf`` CLI subcommand and the ``perfbench/``
+workloads' per-layer figures are the consumers.
 
 Design constraints:
 

@@ -1,4 +1,10 @@
-"""Tests for the greedy gateway-selection heuristic."""
+"""Tests for the greedy gateway-selection heuristic.
+
+Pruned selection, which reads the witnesses of the targets straight off
+the full coverage set, must equal selection over the restricted coverage
+set.  The absorption sort of the shared selection kernel must order its
+pairs lexicographically on both sides of its int64 packing guard.
+"""
 
 import numpy as np
 import pytest

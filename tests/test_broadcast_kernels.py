@@ -307,13 +307,17 @@ class TestTrialStacking:
         assert lean.done_heads.shape[0] == 0
 
 
-def test_batch_wave_is_bit_identical_to_per_item_calls():
+@pytest.mark.parametrize("degree", [6.0, 18.0])
+@pytest.mark.parametrize("metrics", ["fig6", "fig7", "fig8", "flooding"])
+def test_batch_wave_is_bit_identical_to_per_item_calls(metrics, degree):
     # n=300 is past KERNEL_CUTOVER, so the resolved trial grows a
     # run_batch attribute and the serial backend routes the wave through
-    # the stacked kernels; the results must be indistinguishable.
+    # the stacked kernels; the results must be indistinguishable.  Every
+    # metric with a batch route is covered, at the paper's sparsest and
+    # densest degree.
     spec = TrialSpec.create(
         "repro.workload.experiments:make_figure_trial",
-        metrics="flooding", n=300, degree=10.0,
+        metrics=metrics, n=300, degree=degree,
         width=float(Area.paper().width), height=float(Area.paper().height),
         scenario_root=4242,
     )

@@ -1,4 +1,8 @@
-"""Tests for the channel-model seam: base protocol, identity, factory."""
+"""Tests for the channel-model seam: base protocol, identity, factory.
+
+Identity: a medium carrying an :class:`IdealChannel` replays the bare
+medium bit for bit (same trace, receptions and reception times).
+"""
 
 import pytest
 

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,35 @@ class TestGeneratedDocs:
                     "docs/architecture.md", "docs/protocols.md",
                     "docs/api.md", "CONTRIBUTING.md"):
             assert (REPO_ROOT / doc).exists(), doc
+
+    def test_named_scripts_and_make_targets_exist(self):
+        # A deleted script or make target must not live on in the docs,
+        # the Makefile or CI.  A bare ``bench_*.py`` name is a script under
+        # ``benchmarks/``.  History (CHANGES.md, CHANGELOG.md) and plans
+        # (ROADMAP.md) may name files that no longer or do not yet exist.
+        sources = [".github/workflows/ci.yml", "Makefile", "README.md",
+                   "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md",
+                   ".claude/skills/verify/SKILL.md"]
+        sources += sorted(str(p.relative_to(REPO_ROOT))
+                          for p in (REPO_ROOT / "docs").glob("*.md"))
+        makefile = (REPO_ROOT / "Makefile").read_text()
+        targets = set(re.findall(r"^([\w-]+):", makefile, re.MULTILINE))
+        path_re = re.compile(
+            r"\b(?:benchmarks|perfbench|tools|examples|tests)/[\w/.-]*?\.py\b")
+        bench_re = re.compile(r"(?<![\w/])bench_\w+\.py\b")
+        make_re = re.compile(r"(?:`|^\$ )make ([\w-]+)(?=[`\s])",
+                             re.MULTILINE)
+        dangling = []
+        for source in sources:
+            text = (REPO_ROOT / source).read_text()
+            dangling += [f"{source}: {path}" for path in path_re.findall(text)
+                         if not (REPO_ROOT / path).exists()]
+            dangling += [f"{source}: {name}" for name in bench_re.findall(text)
+                         if not (REPO_ROOT / "benchmarks" / name).exists()]
+            dangling += [f"{source}: make {target}"
+                         for target in make_re.findall(text)
+                         if target not in targets]
+        assert not dangling, dangling
 
 
 class TestDeterminism:

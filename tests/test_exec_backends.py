@@ -1,4 +1,8 @@
-"""Tests for the execution backends and the trial-spec plumbing."""
+"""Tests for the execution backends and the trial-spec plumbing.
+
+The process pool must return what the serial backend returns, bit for
+bit, and the worker count must not change an estimate.
+"""
 
 import pytest
 from hypothesis import given, settings

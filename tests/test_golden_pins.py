@@ -3,8 +3,10 @@
 The determinism tests elsewhere check that a run repeats itself and that
 every backend agrees.  A change that reorders events, tie-breaks or set
 iteration *consistently* passes both.  These pins hash the full output of
-fixed runs instead, so any drift in an event time, a trace entry, a
-channel counter or a neighbour-set iteration order fails here.
+fixed runs instead (contention sweeps, a fault-sweep point, an SI
+broadcast under SINR + CSMA and the network sampler), so any drift in an
+event time, a trace entry, a channel counter or a neighbour-set iteration
+order fails here.
 
 Each digest is a SHA-256 over a JSON rendering whose floats are written
 with ``repr`` precision, so a one-ulp change in any value moves it.  If a

@@ -1,4 +1,9 @@
-"""Tests for churn metrics, message accounting and mobility sessions."""
+"""Tests for churn metrics, message accounting and mobility sessions.
+
+``TestAdverseMaintenance`` compares the object and kernel routes of
+:class:`MobilitySession` where a repair is hardest: clusterheads that
+vanish outright and repeated disconnection.
+"""
 
 import numpy as np
 import pytest

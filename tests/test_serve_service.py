@@ -2,10 +2,10 @@
 
 These tests drive :class:`ServeService` directly (no socket): durable
 acceptance, watermark/limit shedding, deadline enforcement, cancel races,
-restart recovery bit-identical to the serial oracle, and journal-disk
-failure staying a *request* failure rather than a daemon crash.  The
-subprocess SIGKILL versions of the same guarantees live in the slow
-``tests/test_chaos_serve.py`` lane.
+served results and restart recovery bit-identical to the serial oracle,
+and journal-disk failure staying a *request* failure rather than a daemon
+crash.  The subprocess SIGKILL versions of the same guarantees live in
+the slow ``tests/test_chaos_serve.py`` lane.
 """
 
 import errno
