@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper bench-faults bench-parallel perfbench-selftest chaos serve-chaos figures examples lint clean
+.PHONY: install test test-verbose bench bench-paper bench-faults bench-parallel perfbench-selftest chaos serve-chaos figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop

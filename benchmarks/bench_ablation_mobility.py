@@ -11,7 +11,7 @@ import pytest
 
 from repro.geometry.mobility import RandomWalk
 from repro.graph.generators import random_geometric_network
-from repro.maintenance.session import MobilitySession
+from repro.maintenance.kernels import KernelMobilitySession
 
 SPEEDS = (0.5, 2.0, 8.0)
 TICKS = 8
@@ -26,13 +26,12 @@ def measure():
         trials = 4
         for seed in range(trials):
             net = random_geometric_network(50, 10.0, rng=seed * 31 + 7)
-            session = MobilitySession(
+            session = KernelMobilitySession.from_network(
                 net, RandomWalk(speed=speed, area=net.area, rng=seed)
             )
             for report in session.run(TICKS):
-                assert report.backbone_churn is not None
-                resignal += len(report.backbone_churn.heads_with_new_selection)
-                turnover += report.backbone_churn.gateway_turnover
+                resignal += report.resignalling
+                turnover += report.gateways_gained + report.gateways_lost
                 links += report.link_changes
         denom = trials * TICKS
         rows.append((speed, resignal / denom, turnover / denom, links / denom))

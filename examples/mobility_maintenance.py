@@ -15,7 +15,7 @@ Run:  python examples/mobility_maintenance.py
 from repro.geometry.mobility import RandomWalk
 from repro.graph.generators import random_geometric_network
 from repro.maintenance import (
-    MobilitySession,
+    KernelMobilitySession,
     rebuild_messages,
     resignalling_messages,
 )
@@ -30,27 +30,28 @@ def main() -> None:
     t = float(TICKS)
     for speed in SPEEDS:
         net = random_geometric_network(N, 10.0, rng=7)
-        session = MobilitySession(
+        session = KernelMobilitySession.from_network(
             net, RandomWalk(speed=speed, area=net.area, rng=int(speed * 10))
         )
-        before = session.backbone
+        before = session.backbone()
         link = flips = reassign = turnover = resignal = 0.0
         hello = decl = chhop = gatew = total = rebuild = 0.0
-        for report in session.run(TICKS):
-            assert report.cluster_churn and report.backbone_churn
+        for _ in range(TICKS):
+            report = session.step()
+            after = session.backbone()
             link += report.link_changes
-            flips += report.cluster_churn.role_change_count
-            reassign += len(report.cluster_churn.reassigned_members)
-            turnover += report.backbone_churn.gateway_turnover
-            resignal += len(report.backbone_churn.heads_with_new_selection)
-            messages = resignalling_messages(before, report.backbone)
-            before = report.backbone
+            flips += report.heads_gained + report.heads_lost
+            reassign += report.reassigned
+            turnover += report.gateways_gained + report.gateways_lost
+            resignal += report.resignalling
+            messages = resignalling_messages(before, after)
+            before = after
             hello += messages["hello"]
             decl += messages["declaration"]
             chhop += messages["ch_hop1"] + messages["ch_hop2"]
             gatew += messages["gateway"]
             total += sum(messages.values())
-            rebuild += rebuild_messages(report.backbone)
+            rebuild += rebuild_messages(after)
         churn_rows.append(f"{speed:>6g} | {link / t:>6.1f} {flips / t:>6.1f} "
                           f"{reassign / t:>8.1f} {turnover / t:>9.1f} "
                           f"{resignal / t:>10.1f}")

@@ -1,10 +1,8 @@
 """Array-native mobility maintenance: the per-tick kernel session.
 
-The object-layer :class:`~repro.maintenance.session.MobilitySession`
-(``kernel=False``) re-derives the backbone each tick from scratch over
-dict/set graphs.  That is fine at paper scale and unusable at n >= 10k.
-This module runs the same per-tick pipeline entirely on arrays, in three
-timed stages:
+Re-deriving the backbone each tick over dict/set graphs is fine at paper
+scale and unusable at n >= 10k.  This module runs the per-tick pipeline
+entirely on arrays, at every n, in three timed stages:
 
 1. **step** — the mobility model advances all ``(n, 2)`` positions at
    once.
@@ -21,16 +19,17 @@ timed stages:
 Coverage and selection are rebuilt rather than patched because, at the
 mobility rates the workloads run, the heads a tick can affect are nearly
 all of them; docs/performance.md has the measurement.  Every tick's
-clustering, coverage sets and selections are bit-identical to the
-from-scratch oracle ``MobilitySession(kernel=False)`` (property-tested in
-``tests/test_mobility_kernels.py``), on bordered and wrapped areas alike.
+clustering, coverage sets and selections are bit-identical to a
+from-scratch object-layer rebuild (``tests/mobility_oracle.py``,
+property-tested in ``tests/test_mobility_kernels.py``), on bordered and
+wrapped areas alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -55,16 +54,15 @@ from repro.graph.csr import (
     sorted_unique,
 )
 from repro.graph.network import Network
-from repro.types import CoveragePolicy, NodeId
+from repro.types import CoveragePolicy
 
 
 @dataclass(frozen=True, slots=True)
 class KernelTickReport:
     """Churn and locality counters for one kernel-session tick.
 
-    All node references are CSR rows of the session's graph; the
-    materialising accessors of :class:`KernelMobilitySession` translate to
-    node ids when the object layer needs them.
+    Every field is a count; the materialising accessors of
+    :class:`KernelMobilitySession` give the snapshot itself in node ids.
 
     Attributes:
         time: Session time after the tick.
@@ -140,21 +138,18 @@ def _sorted_diff(old: np.ndarray,
 class KernelMobilitySession:
     """Maintain clustering + backbone under mobility, array-native.
 
-    The drop-in hot path behind
-    :class:`~repro.maintenance.session.MobilitySession` above the CSR
-    cutover, and the engine of the 100k-node mobility workload.  Holds
-    positions, adjacency, head assignment, witness tables and connector
-    tables as arrays between ticks and rebuilds them per tick; the
-    materialising accessors (:meth:`network`, :meth:`structure`,
+    The one mobility session, from paper scale to the 100k-node workload.
+    Holds positions, adjacency, head assignment, witness tables and
+    connector tables as arrays between ticks and rebuilds them per tick;
+    the materialising accessors (:meth:`network`, :meth:`structure`,
     :meth:`backbone`) bridge back to the object layer on demand.  Every
-    tick is bit-identical to the from-scratch oracle
-    ``MobilitySession(kernel=False)`` driven by the same model.
+    tick is bit-identical to a from-scratch object-layer rebuild driven by
+    the same model.
 
     Args:
         positions: ``(n, 2)`` initial positions, row ``i`` for ``ids[i]``.
         radius: Unit-disk transmission range.
-        mobility: The movement model (stepped in ascending-id row order,
-            exactly like ``MobilitySession(kernel=False)``).
+        mobility: The movement model (stepped in ascending-id row order).
         ids: Node id per position row (default ``0..n-1``).
         area: Working space (defaults to the mobility model's area).
         torus: Wrap distances around ``area``.
@@ -205,12 +200,24 @@ class KernelMobilitySession:
         )
         self._edge_keys = _canonical_keys(csr)
         self._adopt(csr, lowest_id_rows(csr))
-        empty = np.empty(0, dtype=np.int64)
-        self._last_flipped = empty
-        self._last_reassigned = empty
-        self._last_gained = empty
-        self._last_lost = empty
-        self._last_resignal = empty
+
+    @classmethod
+    def from_network(
+        cls,
+        network: Network,
+        mobility: MobilityModel,
+        policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
+    ) -> "KernelMobilitySession":
+        """A session over ``network``'s nodes, positions, range and area.
+
+        Tracks per-tick connectivity, which object-layer callers report.
+        """
+        ids = network.graph.nodes()
+        return cls(
+            network.position_array(ids), network.radius, mobility,
+            ids=np.asarray(ids, dtype=np.int64), area=network.area,
+            torus=network.torus, policy=policy, connectivity=True,
+        )
 
     # -- array state -------------------------------------------------------
 
@@ -364,13 +371,6 @@ class KernelMobilitySession:
             connected = bool(n <= 1 or int(labels.max()) == 0)
 
         self.time += dt
-        # Stash the tick's row sets for the materialising wrapper (cheap:
-        # views of small arrays).
-        self._last_flipped = flipped
-        self._last_reassigned = reassigned
-        self._last_gained = gained
-        self._last_lost = lost
-        self._last_resignal = resignal
         return KernelTickReport(
             time=self.time,
             link_changes=int(added.shape[0] + removed.shape[0]),
@@ -427,19 +427,14 @@ class KernelMobilitySession:
             torus=self.torus,
         )
 
-    def structure(self, network: Optional[Network] = None) -> ClusterStructure:
+    def structure(self) -> ClusterStructure:
         """The current clustering as a :class:`ClusterStructure`."""
-        graph = network.graph if network is not None else self._csr.to_graph()
         ids = self._csr.ids
         head_of = dict(zip(ids.tolist(), ids[self._head_row].tolist()))
-        return ClusterStructure(graph=graph, head_of=head_of)
+        return ClusterStructure(graph=self._csr.to_graph(), head_of=head_of)
 
-    def backbone(
-        self, structure: Optional[ClusterStructure] = None
-    ) -> Backbone:
+    def backbone(self) -> Backbone:
         """The current backbone, bit-identical to a from-scratch build."""
-        if structure is None:
-            structure = self.structure()
         batch = BatchGatewaySelection(
             cov=self._cov,
             conn_head=self._conn[0],
@@ -448,32 +443,9 @@ class KernelMobilitySession:
             conn_w=self._conn[3],
         )
         return Backbone(
-            structure=structure,
+            structure=self.structure(),
             policy=self.policy,
             coverage_sets=self._cov.materialise_all(),
             selections=batch.materialise_all(),
             algorithm=f"static-backbone[{self.policy.label}]",
         )
-
-    def churn_ids(self) -> Dict[str, "frozenset[NodeId]"]:
-        """The last tick's churn row sets translated to node ids.
-
-        Keys: ``heads_gained``, ``heads_lost``, ``reassigned``,
-        ``gateways_gained``, ``gateways_lost``, ``resignalling`` — exactly
-        the sets the object-layer churn dataclasses carry.
-        """
-        ids = self._csr.ids
-        is_head = self._head_row == np.arange(
-            self._csr.num_nodes, dtype=np.int64
-        )
-        flipped = self._last_flipped
-        return {
-            "heads_gained": frozenset(ids[flipped[is_head[flipped]]].tolist()),
-            "heads_lost": frozenset(
-                ids[flipped[~is_head[flipped]]].tolist()
-            ),
-            "reassigned": frozenset(ids[self._last_reassigned].tolist()),
-            "gateways_gained": frozenset(ids[self._last_gained].tolist()),
-            "gateways_lost": frozenset(ids[self._last_lost].tolist()),
-            "resignalling": frozenset(ids[self._last_resignal].tolist()),
-        }

@@ -43,7 +43,7 @@ class ServeServer:
         self.socket_path = Path(socket_path)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: list = []
+        self._conns: list = []  # (thread, socket) per accepted connection
         self._conn_lock = threading.Lock()
         self._closing = threading.Event()
 
@@ -75,6 +75,9 @@ class ServeServer:
         drained = self.service.drain(grace)
         self._closing.set()
         if self._listener is not None:
+            # ``close()`` alone does not wake a thread blocked in
+            # ``accept()``; shutting the socket down does.
+            _hang_up(self._listener, socket.SHUT_RDWR)
             try:
                 self._listener.close()
             except OSError:
@@ -86,8 +89,11 @@ class ServeServer:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         with self._conn_lock:
-            threads = list(self._conn_threads)
-        for thread in threads:
+            conns = list(self._conns)
+        for thread, conn in conns:
+            # An idle connection's ``readline`` returns EOF; the write side
+            # stays open, so a streamer still sends its terminal frame.
+            _hang_up(conn, socket.SHUT_RD)
             thread.join(timeout=5.0)
         self.service.stop()
         return drained
@@ -105,10 +111,8 @@ class ServeServer:
                 name="repro-serve-conn",
             )
             with self._conn_lock:
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
+                self._conns = [(t, c) for t, c in self._conns if t.is_alive()]
+                self._conns.append((thread, conn))
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -224,3 +228,11 @@ class ServeServer:
     @staticmethod
     def _send(conn: socket.socket, message: dict) -> None:
         conn.sendall(protocol.encode(message))
+
+
+def _hang_up(sock: socket.socket, how: int) -> None:
+    """Shut ``sock`` down, waking any thread blocked reading it."""
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass  # already closed

@@ -1,10 +1,9 @@
 """Mobility scaling study: backbone maintenance far beyond paper scale.
 
 The maintenance extension quantifies the paper's "keeping a static
-backbone fresh is costly" argument, but the object-layer
-:class:`~repro.maintenance.session.MobilitySession` tops out around a few
-thousand nodes.  This study drives the array-native
-:class:`~repro.maintenance.kernels.KernelMobilitySession` instead —
+backbone fresh is costly" argument; an object-layer rebuild per tick tops
+out around a few thousand nodes.  This study drives the array-native
+:class:`~repro.maintenance.kernels.KernelMobilitySession` —
 vectorised waypoint stepping, a CSR rebuild with an edge-key diff,
 lowest-ID repair and array coverage/selection — and measures, for fixed
 average degree and growing n:

@@ -1,28 +1,27 @@
-"""Tests for churn metrics, message accounting and mobility sessions.
+"""Tests for churn metrics, message accounting and the mobility session.
 
-``TestAdverseMaintenance`` compares the object and kernel routes of
-:class:`MobilitySession` where a repair is hardest: clusterheads that
-vanish outright and repeated disconnection.
+``TestAdverseMaintenance`` compares :class:`KernelMobilitySession` with the
+from-scratch oracle where a repair is hardest: clusterheads that vanish
+outright and repeated disconnection.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.backbone.static_backbone import build_static_backbone
+from repro.backbone.static_backbone import Backbone, build_static_backbone
 from repro.cluster.lowest_id import lowest_id_clustering
-from repro.cluster.state import ClusterStructure
 from repro.errors import ConfigurationError
 from repro.geometry.mobility import MobilityModel, RandomWalk, RandomWaypoint
 from repro.graph.adjacency import Graph
 from repro.graph.generators import random_geometric_network
-from repro.maintenance.session import MobilitySession
-from repro.maintenance.stability import (
-    backbone_churn,
-    cluster_churn,
-    rebuild_messages,
-    resignalling_messages,
-)
+from repro.graph.network import Network
+from repro.maintenance.kernels import KernelMobilitySession
+from repro.maintenance.stability import rebuild_messages, resignalling_messages
 from repro.types import CoveragePolicy
+
+from mobility_oracle import ScratchSession, backbone_churn, cluster_churn
 
 
 def clustering_of(edges, extra_nodes=()):
@@ -93,7 +92,7 @@ class TestBackboneChurn:
 class TestMobilitySession:
     def test_session_steps_and_history(self):
         net = random_geometric_network(30, 10.0, rng=11)
-        session = MobilitySession(
+        session = KernelMobilitySession.from_network(
             net, RandomWaypoint(speed_range=(0.5, 1.5), area=net.area, rng=2)
         )
         reports = session.run(5)
@@ -103,29 +102,32 @@ class TestMobilitySession:
 
     def test_reports_carry_churn(self):
         net = random_geometric_network(30, 10.0, rng=12)
-        session = MobilitySession(
+        session = KernelMobilitySession.from_network(
             net, RandomWalk(speed=3.0, area=net.area, rng=3)
         )
         report = session.step()
-        assert report.cluster_churn is not None
-        assert report.backbone_churn is not None
+        assert report.flipped == report.heads_gained + report.heads_lost
+        assert min(report.reassigned, report.gateways_gained,
+                   report.gateways_lost, report.resignalling) >= 0
         assert report.link_changes >= 0
+        assert report.connected is not None
 
     def test_stationary_model_no_churn(self):
         net = random_geometric_network(25, 8.0, rng=13)
-        session = MobilitySession(
+        session = KernelMobilitySession.from_network(
             net, RandomWalk(speed=0.0, area=net.area, rng=4)
         )
         report = session.step()
         assert report.link_changes == 0
-        assert report.cluster_churn.churn_rate == 0.0
-        assert report.backbone_churn.gateway_turnover == 0
+        assert report.flipped == report.reassigned == 0
+        assert report.gateways_gained == report.gateways_lost == 0
+        assert report.resignalling == 0
         assert report.connected
 
     def test_faster_movement_more_churn(self):
         def total_churn(speed, seed=21):
             net = random_geometric_network(40, 10.0, rng=seed)
-            session = MobilitySession(
+            session = KernelMobilitySession.from_network(
                 net, RandomWalk(speed=speed, area=net.area, rng=seed)
             )
             return sum(r.link_changes for r in session.run(8))
@@ -200,18 +202,32 @@ LIVE_GOLDEN = {
 }
 
 
+@dataclass(frozen=True)
+class AccountedTick:
+    """A tick's report fields plus the snapshot it left behind."""
+
+    time: float
+    link_changes: int
+    network: Network
+    backbone: Backbone
+
+
 def accounted_run(speed, seed=21, n=40, ticks=1, dt=1.0,
                   policy=CoveragePolicy.TWO_FIVE_HOP):
-    """(report, resignalling messages) per tick of a mobility session."""
+    """(tick, resignalling messages) per tick of a mobility session."""
     net = random_geometric_network(n, 10.0, rng=seed)
-    session = MobilitySession(
+    session = KernelMobilitySession.from_network(
         net, RandomWalk(speed=speed, area=net.area, rng=seed), policy
     )
-    before = session.backbone
+    before = session.backbone()
     out = []
-    for report in session.run(ticks, dt):
-        out.append((report, resignalling_messages(before, report.backbone)))
-        before = report.backbone
+    for _ in range(ticks):
+        report = session.step(dt)
+        after = session.backbone()
+        tick = AccountedTick(report.time, report.link_changes,
+                             session.network(), after)
+        out.append((tick, resignalling_messages(before, after)))
+        before = after
     return out
 
 
@@ -308,16 +324,16 @@ class TestAdverseMaintenance:
     def make_sessions(self, rows, seed=17, n=30):
         """A full-recompute and an incremental-repair session over one motion.
 
-        The incremental side is the array kernel session: it rebuilds the
-        graph and backbone arrays each tick but repairs the clustering
-        from the changed edges only (``repair_lowest_id_rows``).
+        The incremental side is the kernel session: it rebuilds the graph
+        and backbone arrays each tick but repairs the clustering from the
+        changed edges only (``repair_lowest_id_rows``).
         """
         net = random_geometric_network(n, 10.0, rng=seed)
         order = net.graph.nodes()
         victims = [order.index(v) for v in rows]
         return (
-            MobilitySession(net, Exile(victims, net.area), kernel=False),
-            MobilitySession(net, Exile(victims, net.area), kernel=True),
+            ScratchSession(net, Exile(victims, net.area)),
+            KernelMobilitySession.from_network(net, Exile(victims, net.area)),
             net,
         )
 
@@ -325,26 +341,29 @@ class TestAdverseMaintenance:
         net = random_geometric_network(30, 10.0, rng=17)
         head = min(lowest_id_clustering(net.graph).clusterheads)
         full, inc, _ = self.make_sessions([head])
-        for session in (full, inc):
-            report = session.step()
-            assert not report.connected
-            # Churn is still accounted and structures still derived.
-            assert report.cluster_churn is not None
-            assert report.backbone_churn is not None
-            assert set(report.structure.head_of) == set(net.graph.nodes())
+        ro, rk = full.step(), inc.step()
+        assert ro.connected is False and rk.connected is False
+        # Churn is still accounted and structures still derived.
+        assert rk.flipped == ro.cluster_churn.role_change_count
+        assert rk.reassigned == len(ro.cluster_churn.reassigned_members)
+        assert rk.resignalling == len(
+            ro.backbone_churn.heads_with_new_selection)
+        for structure in (ro.structure, inc.structure()):
+            assert set(structure.head_of) == set(net.graph.nodes())
 
     def test_vanished_clusterhead_becomes_isolated_self_head(self):
         net = random_geometric_network(30, 10.0, rng=17)
         head = min(lowest_id_clustering(net.graph).clusterheads)
         full, inc, _ = self.make_sessions([head])
-        for session in (full, inc):
-            report = session.step()
+        full.step()
+        inc.step()
+        for backbone in (full.backbone, inc.backbone()):
             # The exile keeps its (lowest) id, so it stays a head — but of
             # a singleton cluster, and it can no longer sit on the backbone
             # as anyone's gateway.
-            assert report.structure.head_of[head] == head
-            assert report.structure.members(head) == frozenset()
-            assert head not in report.backbone.gateways
+            assert backbone.structure.head_of[head] == head
+            assert backbone.structure.members(head) == frozenset()
+            assert head not in backbone.gateways
 
     def test_incremental_matches_full_after_vanishing(self):
         heads = sorted(lowest_id_clustering(
@@ -355,9 +374,10 @@ class TestAdverseMaintenance:
         for _ in range(2):
             a = full.step()
             b = inc.step()
-            assert b.structure.head_of == a.structure.head_of
-            assert b.backbone.nodes == a.backbone.nodes
-            assert b.backbone.gateways == a.backbone.gateways
+            backbone = inc.backbone()
+            assert backbone.structure.head_of == a.structure.head_of
+            assert backbone.nodes == a.backbone.nodes
+            assert backbone.gateways == a.backbone.gateways
             assert b.connected == a.connected
 
     def test_incremental_survives_repeated_disconnection(self):
@@ -366,12 +386,12 @@ class TestAdverseMaintenance:
         net = random_geometric_network(25, 8.0, rng=19)
         victim = max(net.graph.nodes())
         order = net.graph.nodes()
-        inc = MobilitySession(
-            net, Exile([order.index(victim)], net.area), kernel=True
+        inc = KernelMobilitySession.from_network(
+            net, Exile([order.index(victim)], net.area)
         )
         for _ in range(3):
-            report = inc.step()
-            scratch = lowest_id_clustering(report.network.graph)
-            assert report.structure.head_of == scratch.head_of
-            assert report.backbone.nodes == \
+            inc.step()
+            scratch = lowest_id_clustering(inc.network().graph)
+            assert inc.structure().head_of == scratch.head_of
+            assert inc.backbone().nodes == \
                 build_static_backbone(scratch).nodes

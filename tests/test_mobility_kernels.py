@@ -1,13 +1,13 @@
 """Property tests: the mobility maintenance kernels are bit-identical.
 
 The array-native :class:`~repro.maintenance.kernels.KernelMobilitySession`
-must reproduce the object-layer :class:`~repro.maintenance.session.
-MobilitySession` *exactly*, tick for tick — same graphs, same clusterings,
-same coverage sets and gateway selections, same churn counters — on
-arbitrary raw placements (disconnected included), torus wrap, permuted
-non-contiguous ids, boundary-crossing mobility and both coverage policies.
-This is the contract that lets :class:`MobilitySession` dispatch to the
-kernel purely on size.
+must reproduce the from-scratch object rebuild of ``mobility_oracle``
+*exactly*, tick for tick — same graphs, same clusterings, same coverage
+sets and gateway selections, and churn counters equal to the sizes of the
+oracle's churn sets — on arbitrary raw placements (disconnected included),
+torus wrap, permuted non-contiguous ids, boundary-crossing mobility and
+both coverage policies.  This is the contract that lets the kernel session
+be the only mobility session at every n.
 
 ``repair_lowest_id_rows`` — the one stage a tick repairs rather than
 rebuilds — is pinned separately against the unconstrained fixpoint, so a
@@ -29,9 +29,9 @@ from repro.geometry.placement import uniform_placement
 from repro.graph.csr import csr_from_positions
 from repro.graph.network import Network
 from repro.maintenance.kernels import KernelMobilitySession, _sorted_diff
-from repro.maintenance.session import MobilitySession
 from repro.types import CoveragePolicy
 
+from mobility_oracle import ScratchSession
 from repair_oracle import repair_rounds_from_scratch
 
 
@@ -65,7 +65,7 @@ def mobility_scenarios(draw):
 
 
 def _dirty_heads(old_network, report):
-    """``KernelTickReport.dirty_heads`` by its definition, on object snapshots.
+    """``KernelTickReport.dirty_heads`` by its definition, on oracle snapshots.
 
     The new heads within two hops (in the new graph) of an endpoint of a
     changed edge, a row whose head status flipped or a reassigned row.
@@ -91,7 +91,7 @@ def _model(kind, speed, area, seed):
 
 
 class TestSessionEquivalence:
-    """Kernel session vs object session, tick for tick."""
+    """Kernel session vs the from-scratch oracle, tick for tick."""
 
     @given(mobility_scenarios(), st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
@@ -101,36 +101,41 @@ class TestSessionEquivalence:
         net = Network.from_positions(
             positions, radius, ids=ids, area=area, torus=torus
         )
-        obj = MobilitySession(
-            net, _model(kind, speed, area, mseed), policy, kernel=False
+        oracle = ScratchSession(net, _model(kind, speed, area, mseed), policy)
+        ker = KernelMobilitySession.from_network(
+            net, _model(kind, speed, area, mseed), policy
         )
-        ker = MobilitySession(
-            net, _model(kind, speed, area, mseed), policy, kernel=True
-        )
-        assert ker.kernel
-        assert obj.structure.head_of == ker.structure.head_of
-        assert obj.backbone.gateways == ker.backbone.gateways
+        assert oracle.structure.head_of == ker.structure().head_of
+        assert oracle.backbone.gateways == ker.backbone().gateways
         for _ in range(ticks):
-            old_network = obj.network
-            ro = obj.step(1.0)
+            old_network = oracle.network
+            ro = oracle.step(1.0)
             rk = ker.step(1.0)
-            assert ro.network.positions == rk.network.positions
+            network, backbone = ker.network(), ker.backbone()
+            assert ro.network.positions == network.positions
             assert set(ro.network.graph.edges()) == set(
-                rk.network.graph.edges()
+                network.graph.edges()
             )
-            assert ro.structure.head_of == rk.structure.head_of
-            assert ro.backbone.gateways == rk.backbone.gateways
+            assert ro.structure.head_of == backbone.structure.head_of
+            assert ro.backbone.gateways == backbone.gateways
+            assert set(ro.backbone.selections) == set(backbone.selections)
             for h in ro.backbone.selections:
                 assert (ro.backbone.coverage_sets[h].all_targets
-                        == rk.backbone.coverage_sets[h].all_targets)
+                        == backbone.coverage_sets[h].all_targets)
                 assert (ro.backbone.selections[h].gateways
-                        == rk.backbone.selections[h].gateways)
-            assert ro.connected == rk.connected
-            assert ro.link_changes == rk.link_changes
-            assert ro.cluster_churn == rk.cluster_churn
-            assert ro.backbone_churn == rk.backbone_churn
-            tick = ker._kernel_session.history[-1]
-            assert tick.dirty_heads == _dirty_heads(old_network, ro)
+                        == backbone.selections[h].gateways)
+            assert rk.time == ro.time
+            assert rk.connected == ro.connected
+            assert rk.link_changes == ro.link_changes
+            cc, bc = ro.cluster_churn, ro.backbone_churn
+            assert rk.heads_gained == len(cc.heads_gained)
+            assert rk.heads_lost == len(cc.heads_lost)
+            assert rk.flipped == cc.role_change_count
+            assert rk.reassigned == len(cc.reassigned_members)
+            assert rk.gateways_gained == len(bc.gateways_gained)
+            assert rk.gateways_lost == len(bc.gateways_lost)
+            assert rk.resignalling == len(bc.heads_with_new_selection)
+            assert rk.dirty_heads == _dirty_heads(old_network, ro)
 
 
 class TestTickLargeN:

@@ -8,9 +8,13 @@ a traceback back; every failure is one structured ``error`` frame.
 """
 
 import json
+import signal
 import socket
+import threading
+import time
 
 import pytest
+from chaos_serve import reap, start_daemon, wait_ready
 from repro.serve.client import ServeClient
 from repro.serve.protocol import MAX_REQUEST_BYTES
 from repro.serve.server import ServeServer
@@ -172,3 +176,71 @@ class TestShutdown:
         # the accepted request finished, not vanished
         req = service.get("drain-1")
         assert req.state == "done"
+
+    @pytest.mark.parametrize("idle_client", [False, True],
+                             ids=["no-client", "idle-client"])
+    def test_shutdown_is_prompt_and_leaves_no_thread(self, tmp_path,
+                                                     idle_client):
+        def serve_threads():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("repro-serve-") and t.is_alive()}
+
+        before = serve_threads()
+        service = ServeService(tmp_path / "s", backend="serial")
+        service.start()
+        server = ServeServer(service, tmp_path / "s.sock")
+        server.start()
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            if idle_client:
+                # One answered request proves the connection thread is up;
+                # it then sits in ``readline`` waiting for the next line.
+                idle.settimeout(30)
+                idle.connect(str(tmp_path / "s.sock"))
+                idle.sendall(b'{"op":"health"}\n')
+                with idle.makefile("rb") as reader:
+                    assert json.loads(reader.readline())["type"] == "health"
+            start = time.monotonic()
+            assert server.shutdown(grace=30) is True
+            assert time.monotonic() - start < 1.0
+        finally:
+            idle.close()
+        assert not serve_threads() - before
+
+    def test_stream_open_across_shutdown_gets_its_result(self, tmp_path):
+        service = ServeService(tmp_path / "s", backend="serial")
+        service.start()
+        server = ServeServer(service, tmp_path / "s.sock")
+        server.start()
+        client = ServeClient(tmp_path / "s.sock")
+        frames, accepted = [], threading.Event()
+
+        def consume():
+            for frame in client.stream("faults", FAULT_PARAMS, timeout=60):
+                frames.append(frame)
+                accepted.set()
+
+        streamer = threading.Thread(target=consume)
+        streamer.start()
+        assert accepted.wait(30)
+        assert server.shutdown(grace=120) is True
+        streamer.join(timeout=30)
+        assert not streamer.is_alive()
+        assert frames[0]["type"] == "accepted"
+        assert frames[-1]["type"] == "result"
+
+    def test_idle_daemon_exits_promptly_on_sigterm(self, tmp_path):
+        sock = tmp_path / "d.sock"
+        proc = start_daemon(tmp_path / "root", sock)
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            wait_ready(sock, proc)
+            idle.connect(str(sock))  # an open, silent client
+            start = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert time.monotonic() - start < 1.0
+        finally:
+            idle.close()
+            reap(proc)
+            proc.communicate()
