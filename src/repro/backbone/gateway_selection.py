@@ -52,15 +52,6 @@ class GatewaySelection:
     gateways: FrozenSet[NodeId]
     connectors: Mapping[NodeId, Tuple[NodeId, ...]]
 
-    @property
-    def num_gateways(self) -> int:
-        """Number of distinct gateways selected."""
-        return len(self.gateways)
-
-    def covered_targets(self) -> FrozenSet[NodeId]:
-        """The clusterheads this selection connects ``head`` to."""
-        return frozenset(self.connectors)
-
 
 @perf.timed("selection")
 def select_gateways(

@@ -16,7 +16,7 @@ module implements.  See DESIGN.md, "MO_CDS per-target selection".
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.backbone.gateway_selection import GatewaySelection
 from repro.backbone.static_backbone import Backbone

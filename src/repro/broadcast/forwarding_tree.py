@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.backbone.gateway_selection import select_gateways
 from repro.broadcast.result import BroadcastResult
@@ -50,17 +50,6 @@ class ForwardingTree:
     def num_clusters(self) -> int:
         """Clusterheads in the tree (root included)."""
         return 1 + len(self.parent)
-
-    def depth_of(self, head: NodeId) -> int:
-        """Tree depth of a clusterhead (root = 0)."""
-        depth = 0
-        cur = head
-        while cur != self.root:
-            cur = self.parent[cur][0]
-            depth += 1
-            if depth > len(self.parent) + 1:  # pragma: no cover
-                raise BroadcastError("forwarding tree has a parent cycle")
-        return depth
 
 
 def build_forwarding_tree(

@@ -13,17 +13,11 @@ simulation** itself, the last per-trial hot path.  Three kernels:
   the piggyback state (origin coverage, forward sets, relay-head chains)
   held in pooled arrays.
 
-Equivalence contract (pinned by ``tests/test_broadcast_kernels.py``):
-
-* At ``loss == 0`` the kernels reproduce the event-engine protocols and
-  the centralised reference algorithms **exactly** — same received set,
-  reception times, forward nodes, forward sets and transmission counts.
-* At ``loss > 0`` the kernels consume the medium's RNG stream in the
-  engine's delivery order — airings chronologically, one Bernoulli draw
-  per neighbour in ascending receiver order (see
-  :meth:`repro.sim.medium.WirelessMedium._plan_deliveries`) — so loss
-  estimates are bit-identical to the engine, draw for draw.  ``loss == 0``
-  consumes **no** draws, exactly like the engine's ``_rng is None`` path.
+Equivalence contract (pinned by ``tests/test_broadcast_kernels.py``): the
+kernels reproduce the lossless event-engine protocols and the centralised
+reference algorithms **exactly** — same received set, reception times,
+forward nodes, forward sets and transmission counts.  The kernels are
+lossless; every lossy study runs on the event engine.
 
 Batched trials: disjoint scenarios stack into one block-diagonal CSR
 (:func:`stack_trials`) and all three kernels run *B* broadcasts per
@@ -42,20 +36,18 @@ contention is inherently sequential.  See ``docs/broadcast_kernels.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import perf
 from repro.backbone.gateway_selection import select_gateways_masked
-from repro.broadcast.result import BroadcastResult
-from repro.broadcast.sd_cds import DynamicBroadcast
 from repro.coverage.arrays import CoverageArrays
 from repro.coverage.three_hop import three_hop_arrays
 from repro.coverage.two_five_hop import two_five_hop_arrays
 from repro.errors import BroadcastError
 from repro.geometry.grid import grouped_ranges
-from repro.graph.csr import CSRGraph, searchsorted_membership
+from repro.graph.csr import CSRGraph, searchsorted_membership, sorted_unique
 from repro.types import CoveragePolicy, NodeId, PruningLevel
 
 #: Node count at which the trial paths switch from the event-engine /
@@ -64,24 +56,10 @@ from repro.types import CoveragePolicy, NodeId, PruningLevel
 #: goldens byte-identical; from a few hundred nodes the kernels win by a
 #: growing margin (5.55x on the broadcast stage at n=2000, batch 128:
 #: ``BENCH_trials.json`` label ``broadcast-kernels-n2000-b128``).  The
-#: crossover itself is not measured yet; ROADMAP item 6 re-measures it.
+#: crossover itself is not measured yet; ROADMAP item 7 re-measures it.
 KERNEL_CUTOVER = 256
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` for int keys via an in-place sort.
-
-    The hot SD loop dedups mostly-distinct key arrays; a plain sort plus
-    boundary scan beats ``np.unique``'s hash path there.
-    """
-    if a.shape[0] <= 1:
-        return a
-    a.sort()
-    keep = np.ones(a.shape[0], dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 class _SortedKeySet:
@@ -128,12 +106,7 @@ class _SortedKeySet:
 
 
 def si_rows(
-    csr: CSRGraph,
-    relay_mask: np.ndarray,
-    source_rows: np.ndarray,
-    *,
-    loss: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    csr: CSRGraph, relay_mask: np.ndarray, source_rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """SI-CDS delivery: forwarding restricted to ``relay_mask`` rows.
 
@@ -145,9 +118,6 @@ def si_rows(
         relay_mask: Boolean per-row backbone membership.  Sources forward
             regardless of membership (the engine pre-marks the source).
         source_rows: One source row per connected block.
-        loss: Independent per-link drop probability.
-        rng: The medium's RNG; required when ``loss > 0``, never touched
-            when ``loss == 0`` (the engine's contract).
 
     Returns:
         ``(time, forwarded)`` — per-row first-reception step (``-1``
@@ -156,16 +126,11 @@ def si_rows(
         at most once).
     """
     with perf.stage("broadcast.si"):
-        return _si_rows(csr, relay_mask, source_rows, loss=loss, rng=rng)
+        return _si_rows(csr, relay_mask, source_rows)
 
 
 def _si_rows(
-    csr: CSRGraph,
-    relay_mask: np.ndarray,
-    source_rows: np.ndarray,
-    *,
-    loss: float,
-    rng: Optional[np.random.Generator],
+    csr: CSRGraph, relay_mask: np.ndarray, source_rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     n = csr.num_nodes
     time = np.full(n, -1, dtype=np.int64)
@@ -173,73 +138,30 @@ def _si_rows(
     src = np.unique(np.asarray(source_rows, dtype=np.int64))
     time[src] = 0
     forwarded[src] = True
-    if loss <= 0.0:
-        # Lossless fast path: trigger order is irrelevant (no draws, and
-        # reception times depend only on BFS level), so plain frontier
-        # expansion suffices.
-        frontier = src
-        t = 0
-        while frontier.shape[0]:
-            flat, _ = csr.gather_rows(frontier)
-            t += 1
-            nv = time[flat] < 0
-            time[flat[nv]] = t
-            # Scatter-then-scan dedup: cheaper than uniquing the frontier's
-            # (duplicate-heavy) neighbour list.
-            new = np.flatnonzero(time == t)
-            frontier = new[relay_mask[new]]
-            forwarded[frontier] = True
-        return time, forwarded
-    if rng is None:
-        raise ValueError("loss > 0 needs the medium's rng")
-    # Lossy path: consume draws in the engine's order — airings
-    # chronologically (within a step: in the order their trigger arrivals
-    # were processed, i.e. by (trigger sender, receiver)), one draw per
-    # neighbour in ascending receiver order.
-    air = src
+    # Reception times depend only on BFS level, so plain frontier
+    # expansion suffices.
+    frontier = src
     t = 0
-    guard = 4 * n + 8
-    while air.shape[0]:
-        if t > guard:
-            raise BroadcastError(
-                f"si kernel did not terminate within {guard} time units"
-            )
-        flat, cnt = csr.gather_rows(air)
-        ok = rng.random(flat.shape[0]) >= loss
-        x = flat[ok]
-        s = np.repeat(air, cnt)[ok]
-        # First-processed arrival per receiver: deliveries sort by
-        # (sender, receiver) and SI senders are distinct, so the trigger
-        # copy is the minimum sender per receiver.
-        order = np.lexsort((s, x))
-        x, s = x[order], s[order]
-        first = np.ones(x.shape[0], dtype=bool)
-        first[1:] = x[1:] != x[:-1]
-        x0, s0 = x[first], s[first]
-        fresh = time[x0] < 0
-        x0, s0 = x0[fresh], s0[fresh]
+    while frontier.shape[0]:
+        flat, _ = csr.gather_rows(frontier)
         t += 1
-        time[x0] = t
-        relay = relay_mask[x0]
-        xr, sr = x0[relay], s0[relay]
-        # Relays air inline while their trigger arrival is processed:
-        # next step's draw order is (trigger sender, receiver).
-        air = xr[np.lexsort((xr, sr))]
-        forwarded[air] = True
+        nv = time[flat] < 0
+        time[flat[nv]] = t
+        # Scatter-then-scan dedup: cheaper than uniquing the frontier's
+        # (duplicate-heavy) neighbour list.
+        new = np.flatnonzero(time == t)
+        frontier = new[relay_mask[new]]
+        forwarded[frontier] = True
     return time, forwarded
 
 
 def flooding_rows(
-    csr: CSRGraph,
-    source_rows: np.ndarray,
-    *,
-    loss: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    csr: CSRGraph, source_rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Blind flooding: :func:`si_rows` with every row in the relay set."""
     with perf.stage("broadcast.flooding"):
         relay_mask = np.ones(csr.num_nodes, dtype=bool)
-        return _si_rows(csr, relay_mask, source_rows, loss=loss, rng=rng)
+        return _si_rows(csr, relay_mask, source_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +222,6 @@ def sd_rows(
     source_rows: np.ndarray,
     *,
     pruning: PruningLevel = PruningLevel.FULL,
-    cov_keys: Optional[np.ndarray] = None,
-    loss: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
     collect: bool = True,
 ) -> SDKernelRun:
     """SD-CDS delivery: dynamic per-head gateway selection, vectorised.
@@ -321,9 +240,6 @@ def sd_rows(
         cov: Coverage witness tables over ``csr`` (matching the policy).
         source_rows: One source row per connected block.
         pruning: Piggyback exploitation level (paper default ``FULL``).
-        cov_keys: Pre-computed :func:`coverage_target_keys` (derived when
-            omitted).
-        loss / rng: As in :func:`si_rows`.
         collect: Record the reporting arrays (``done_heads``, ``fs_*``,
             ``pt_*``).  Batched metric trials only consume ``time`` /
             ``forwarded`` / ``tx_row`` and pass ``False`` to skip the
@@ -338,8 +254,7 @@ def sd_rows(
     with perf.stage("broadcast.sd"):
         return _sd_rows(
             csr, head_row, cov, source_rows,
-            pruning=pruning, cov_keys=cov_keys, loss=loss, rng=rng,
-            collect=collect,
+            pruning=pruning, collect=collect,
         )
 
 
@@ -350,16 +265,10 @@ def _sd_rows(
     source_rows: np.ndarray,
     *,
     pruning: PruningLevel,
-    cov_keys: Optional[np.ndarray],
-    loss: float,
-    rng: Optional[np.random.Generator],
     collect: bool,
 ) -> SDKernelRun:
     n = csr.num_nodes
-    if loss > 0.0 and rng is None:
-        raise ValueError("loss > 0 needs the medium's rng")
-    if cov_keys is None:
-        cov_keys = coverage_target_keys(cov)
+    cov_keys = coverage_target_keys(cov)
     # Head h's coverage keys occupy cov_keys[cov_starts[h]:cov_starts[h+1]]
     # — resolving the bounds once replaces a per-step binary search.
     cov_starts = np.searchsorted(
@@ -390,7 +299,7 @@ def _sd_rows(
         conn_head, _, conn_v, conn_w = select_gateways_masked(
             cov, th_x, excl_keys
         )
-        keys = _sorted_unique(
+        keys = sorted_unique(
             np.concatenate([
                 conn_head * n + conn_v,
                 (conn_head * n + conn_w)[conn_w >= 0],
@@ -432,7 +341,7 @@ def _sd_rows(
         parts.append(th_x[has_o] * n + th_o[has_o])
         if pruning is PruningLevel.FULL and pool_rows:
             parts.extend(pool_rows)
-        return _sorted_unique(np.concatenate(parts))
+        return sorted_unique(np.concatenate(parts))
 
     # -- initiation --------------------------------------------------------
     air_s = np.unique(np.asarray(source_rows, dtype=np.int64))
@@ -467,13 +376,9 @@ def _sd_rows(
             )
         flat, cnt = csr.gather_rows(air_s)
         a_arr = np.repeat(np.arange(air_s.shape[0], dtype=np.int64), cnt)
-        if loss > 0.0:
-            ok = rng.random(flat.shape[0]) >= loss  # type: ignore[union-attr]
-            # int64 up front: every key product below (x * n, x * (n + 1))
-            # must not wrap for union stacks where n * n exceeds int32.
-            x_arr, a_arr = flat[ok].astype(np.int64), a_arr[ok]
-        else:
-            x_arr = flat.astype(np.int64)
+        # int64 up front: every key product below (x * n, x * (n + 1))
+        # must not wrap for union stacks where n * n exceeds int32.
+        x_arr = flat.astype(np.int64)
         t += 1
         nv = time[x_arr] < 0
         time[x_arr[nv]] = t
@@ -564,7 +469,7 @@ def _sd_rows(
             nf, nc = csr.gather_rows(rm_x[rel_orig])
             hsel = is_head[nf]
             ngrp = np.repeat(rel_pos, nc)[hsel]
-            pkey = _sorted_unique(
+            pkey = sorted_unique(
                 np.concatenate([
                     np.repeat(rel_pos, p_cnt) * n + parent,
                     ngrp * n + nf[hsel],
@@ -611,17 +516,9 @@ class TrialStack:
     offsets: np.ndarray
     head_row: np.ndarray
 
-    @property
-    def num_trials(self) -> int:
-        return self.offsets.shape[0] - 1
-
     def per_trial_counts(self, mask: np.ndarray) -> np.ndarray:
         """Per-block count of set rows in a boolean row ``mask``."""
         return np.add.reduceat(mask.astype(np.int64), self.offsets[:-1])
-
-    def per_trial_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-block sum of a per-row int array."""
-        return np.add.reduceat(values, self.offsets[:-1])
 
 
 def stack_trials(
@@ -718,14 +615,13 @@ class KernelAssets:
     contract as the memoized clustering itself).
     """
 
-    __slots__ = ("structure", "_cov", "_static", "_mo_rows", "_cov_keys")
+    __slots__ = ("structure", "_cov", "_static", "_mo_rows")
 
     def __init__(self, structure) -> None:
         self.structure = structure
         self._cov: Dict[CoveragePolicy, CoverageArrays] = {}
         self._static: Dict[CoveragePolicy, np.ndarray] = {}
         self._mo_rows: Optional[np.ndarray] = None
-        self._cov_keys: Dict[CoveragePolicy, np.ndarray] = {}
 
     @property
     def csr(self) -> CSRGraph:
@@ -748,14 +644,6 @@ class KernelAssets:
                 cov = builder(self.csr, self.head_row)
             self._cov[policy] = cov
         return cov
-
-    def coverage_keys(self, policy: CoveragePolicy) -> np.ndarray:
-        """:func:`coverage_target_keys` for ``policy`` (memoized)."""
-        keys = self._cov_keys.get(policy)
-        if keys is None:
-            keys = coverage_target_keys(self.coverage(policy))
-            self._cov_keys[policy] = keys
-        return keys
 
     def static_rows(self, policy: CoveragePolicy) -> np.ndarray:
         """Static backbone rows (heads plus gateways) for ``policy``."""
@@ -814,114 +702,3 @@ def scenario_assets(scenario) -> KernelAssets:
         assets = KernelAssets(scenario.clustering)
         scenario._kernel_assets = assets
     return assets
-
-
-# ---------------------------------------------------------------------------
-# Single-trial bridges back to the object layer
-# ---------------------------------------------------------------------------
-
-
-def _reception_mapping(
-    csr: CSRGraph, time: np.ndarray
-) -> Dict[NodeId, int]:
-    rows = np.flatnonzero(time >= 0)
-    ids = csr.ids
-    return dict(zip(ids[rows].tolist(), time[rows].tolist()))
-
-
-def flooding_result(csr: CSRGraph, source: NodeId) -> BroadcastResult:
-    """Kernel-backed :func:`repro.broadcast.flooding.blind_flooding`."""
-    src = csr.row_of(source)
-    time, _ = flooding_rows(csr, np.asarray([src]))
-    reception = _reception_mapping(csr, time)
-    received = frozenset(reception)
-    return BroadcastResult(
-        source=source,
-        algorithm="blind-flooding",
-        forward_nodes=received,
-        received=received,
-        reception_time=reception,
-        transmissions=len(received),
-    )
-
-
-def si_result(
-    csr: CSRGraph,
-    backbone_rows: np.ndarray,
-    source: NodeId,
-    *,
-    algorithm: str = "si-cds",
-    loss: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> BroadcastResult:
-    """Kernel-backed SI-CDS broadcast over explicit backbone rows."""
-    src = csr.row_of(source)
-    relay_mask = np.zeros(csr.num_nodes, dtype=bool)
-    relay_mask[np.asarray(backbone_rows, dtype=np.int64)] = True
-    time, fwd = si_rows(
-        csr, relay_mask, np.asarray([src]), loss=loss, rng=rng
-    )
-    reception = _reception_mapping(csr, time)
-    forward = frozenset(csr.ids[np.flatnonzero(fwd)].tolist())
-    return BroadcastResult(
-        source=source,
-        algorithm=algorithm,
-        forward_nodes=forward,
-        received=frozenset(reception),
-        reception_time=reception,
-        transmissions=len(forward),
-    )
-
-
-def sd_result(
-    assets: KernelAssets,
-    source: NodeId,
-    *,
-    policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
-    pruning: PruningLevel = PruningLevel.FULL,
-    loss: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> DynamicBroadcast:
-    """Kernel-backed :func:`repro.broadcast.sd_cds.broadcast_sd`."""
-    csr = assets.csr
-    run = sd_rows(
-        csr,
-        assets.head_row,
-        assets.coverage(policy),
-        np.asarray([assets.source_row(source)]),
-        pruning=pruning,
-        cov_keys=assets.coverage_keys(policy),
-        loss=loss,
-        rng=rng,
-    )
-    ids = csr.ids
-    reception = _reception_mapping(csr, run.time)
-    forward = frozenset(ids[np.flatnonzero(run.forwarded)].tolist())
-    forward_sets: Dict[NodeId, FrozenSet[NodeId]] = {
-        int(ids[h]): frozenset() for h in run.done_heads.tolist()
-    }
-    fs_h = ids[run.fs_head]
-    fs_g = ids[run.fs_gw]
-    for h, g in zip(fs_h.tolist(), fs_g.tolist()):
-        forward_sets[h] = forward_sets[h] | {g}
-    pruned: Dict[NodeId, FrozenSet[NodeId]] = {
-        int(ids[h]): frozenset() for h in run.done_heads.tolist()
-    }
-    pt_h = ids[run.pt_head]
-    pt_c = ids[run.pt_ch]
-    for h, c in zip(pt_h.tolist(), pt_c.tolist()):
-        pruned[h] = pruned[h] | {c}
-    result = BroadcastResult(
-        source=source,
-        algorithm=f"sd-cds[{policy.label},{pruning.value}]",
-        forward_nodes=forward,
-        received=frozenset(reception),
-        reception_time=reception,
-        transmissions=run.transmissions,
-    )
-    return DynamicBroadcast(
-        result=result,
-        forward_sets=forward_sets,
-        pruned_targets=pruned,
-        pruning=pruning,
-    )

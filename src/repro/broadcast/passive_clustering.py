@@ -72,13 +72,6 @@ class PassiveClusteringBroadcast:
             v for v, s in self.states.items() if s is PassiveState.CLUSTERHEAD
         )
 
-    def suppressed(self) -> FrozenSet[NodeId]:
-        """Receivers the scheme silenced (ordinary nodes that cancelled)."""
-        return frozenset(
-            v for v, s in self.states.items()
-            if s is PassiveState.ORDINARY and v in self.result.received
-        )
-
 
 def broadcast_passive_clustering(
     graph: Graph,

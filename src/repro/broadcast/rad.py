@@ -48,12 +48,6 @@ class RadBroadcast:
     cancelled: frozenset
     exact_reception_time: Dict[NodeId, float]
 
-    @property
-    def cancellation_ratio(self) -> float:
-        """Fraction of receiving nodes that suppressed their relay."""
-        n = len(self.result.received)
-        return len(self.cancelled) / n if n else 0.0
-
 
 def broadcast_rad(
     graph: Graph,

@@ -10,7 +10,7 @@ delivery checks, latency studies and the benchmark tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Optional
 
 from repro.graph.adjacency import Graph

@@ -28,7 +28,7 @@ Model notes (see DESIGN.md, "Interpretation decisions"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro import perf
 from repro.backbone.gateway_selection import select_gateways
@@ -38,9 +38,6 @@ from repro.coverage.entries import CoverageSet
 from repro.coverage.policy import compute_all_coverage_sets
 from repro.errors import BroadcastError, NodeNotFoundError
 from repro.types import CoveragePolicy, NodeId, PruningLevel
-
-if TYPE_CHECKING:
-    from repro.topology.view import TopologyView
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,6 @@ class DynamicBroadcast:
         """
         return self.result.forward_nodes
 
-    @property
-    def designated_gateways(self) -> FrozenSet[NodeId]:
-        """Only the gateways the clusterheads selected on the fly."""
-        gateways: Set[NodeId] = set()
-        for f in self.forward_sets.values():
-            gateways |= f
-        return frozenset(gateways)
-
 
 @perf.timed("broadcast")
 def broadcast_sd(
@@ -113,7 +102,6 @@ def broadcast_sd(
     policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
     pruning: PruningLevel = PruningLevel.FULL,
     coverage_sets: Optional[Mapping[NodeId, CoverageSet]] = None,
-    view: Optional["TopologyView"] = None,
 ) -> DynamicBroadcast:
     """Run one dynamic-backbone broadcast.
 
@@ -124,9 +112,10 @@ def broadcast_sd(
         pruning: How much piggybacked history to exploit (``FULL`` is the
             paper's protocol; ``BASIC``/``NONE`` exist for ablation).
         coverage_sets: Pre-computed coverage sets matching ``policy``.
-        view: Shared topology view serving the propagation loop's neighbour
-            queries (defaults to the structure's own view, so repeated
-            broadcasts over one clustering share the memoized answers).
+
+    The propagation loop's neighbour queries go through the structure's
+    shared topology view, so repeated broadcasts over one clustering share
+    the memoized answers.
 
     Returns:
         A :class:`DynamicBroadcast`.
@@ -134,10 +123,9 @@ def broadcast_sd(
     graph = structure.graph
     if source not in graph:
         raise NodeNotFoundError(source)
-    if view is None:
-        view = structure.topology
+    view = structure.topology
     if coverage_sets is None:
-        coverage_sets = compute_all_coverage_sets(structure, policy, view=view)
+        coverage_sets = compute_all_coverage_sets(structure, policy)
 
     reception: Dict[NodeId, int] = {source: 0}
     forward_nodes: Set[NodeId] = set()

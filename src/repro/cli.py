@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.exec.backends import BACKENDS
 from repro.rng import DEFAULT_SEED

@@ -9,7 +9,7 @@ lookup, members-of, neighbouring-clusterheads-of).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Set
 

@@ -23,7 +23,7 @@ to the set-based builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet
 
 import numpy as np
 

@@ -15,7 +15,7 @@ endpoints are consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.errors import CoverageError

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import perf
 from repro.cluster.state import ClusterStructure
@@ -12,9 +12,6 @@ from repro.coverage.three_hop import coverage_pair, three_hop_arrays, three_hop_
 from repro.coverage.two_five_hop import two_five_hop_arrays, two_five_hop_coverage
 from repro.graph.csr import CSR_CUTOVER
 from repro.types import CoveragePolicy, NodeId
-
-if TYPE_CHECKING:
-    from repro.topology.view import TopologyView
 
 
 def compute_coverage_arrays(
@@ -38,8 +35,6 @@ def compute_coverage_set(
     structure: ClusterStructure,
     head: NodeId,
     policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
-    *,
-    view: Optional["TopologyView"] = None,
 ) -> CoverageSet:
     """Coverage set of ``head`` under ``policy``.
 
@@ -47,12 +42,11 @@ def compute_coverage_set(
         structure: A finished clustering.
         head: The clusterhead whose set to build.
         policy: Which coverage definition to apply.
-        view: Shared topology view (defaults to the structure's own).
     """
     if policy is CoveragePolicy.TWO_FIVE_HOP:
-        return two_five_hop_coverage(structure, head, view=view)
+        return two_five_hop_coverage(structure, head)
     if policy is CoveragePolicy.THREE_HOP:
-        return three_hop_coverage(structure, head, view=view)
+        return three_hop_coverage(structure, head)
     raise ValueError(f"unknown coverage policy {policy!r}")
 
 
@@ -60,25 +54,21 @@ def compute_coverage_set(
 def compute_all_coverage_sets(
     structure: ClusterStructure,
     policy: CoveragePolicy = CoveragePolicy.TWO_FIVE_HOP,
-    *,
-    view: Optional["TopologyView"] = None,
 ) -> Dict[NodeId, CoverageSet]:
     """Coverage sets for every clusterhead, keyed by head id.
 
-    All heads share one :class:`~repro.topology.view.TopologyView` (the
-    given one, or the structure's), so neighbour frozensets and bounded
-    BFS distances computed for one head are reused by the others.
+    All heads share the structure's
+    :class:`~repro.topology.view.TopologyView`, so neighbour frozensets and
+    bounded BFS distances computed for one head are reused by the others.
 
-    At ``n >= CSR_CUTOVER`` (and no caller-supplied view) the per-head set
-    walks are replaced by the batched CSR kernels plus materialisation —
-    same result, one vectorised pass.
+    At ``n >= CSR_CUTOVER`` the per-head set walks are replaced by the
+    batched CSR kernels plus materialisation — same result, one vectorised
+    pass.
     """
-    if view is None and len(structure.graph) >= CSR_CUTOVER:
+    if len(structure.graph) >= CSR_CUTOVER:
         return compute_coverage_arrays(structure, policy).materialise_all()
-    if view is None:
-        view = structure.topology
     return {
-        h: compute_coverage_set(structure, h, policy, view=view)
+        h: compute_coverage_set(structure, h, policy)
         for h in structure.sorted_heads()
     }
 

@@ -13,7 +13,7 @@ the tests verify.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from repro.graph.csr import (
 )
 from repro.types import CoveragePolicy, NodeId
 
-if TYPE_CHECKING:
-    from repro.topology.view import TopologyView
-
 #: Heads per batch in :func:`three_hop_arrays`.  Bounds the working set of
 #: the 3-level frontier expansion to roughly ``chunk * avg_degree**3`` keys
 #: regardless of network size.
@@ -39,10 +36,7 @@ _HEAD_CHUNK = 1024
 
 
 def coverage_pair(
-    structure: ClusterStructure,
-    head: NodeId,
-    *,
-    view: Optional["TopologyView"] = None,
+    structure: ClusterStructure, head: NodeId
 ) -> Tuple[CoverageSet, CoverageSet]:
     """Clusterhead ``head``'s 2.5-hop and 3-hop coverage sets, one walk.
 
@@ -58,11 +52,9 @@ def coverage_pair(
 
     Args:
         structure: A finished clustering of the network.
-        head: The clusterhead whose coverage sets to build.
-        view: Topology view to serve the neighbourhood queries (must wrap a
-            graph equal to ``structure.graph``).  Defaults to the
-            structure's shared view, so repeated coverage builds over one
-            clustering reuse each other's BFS work.
+        head: The clusterhead whose coverage sets to build.  The walk runs
+            on the structure's shared topology view, so repeated coverage
+            builds over one clustering reuse each other's BFS work.
 
     Returns:
         The ``(two_five_hop, three_hop)`` coverage sets, with witnesses.
@@ -70,7 +62,7 @@ def coverage_pair(
     Raises:
         CoverageError: if ``head`` is not a clusterhead.
     """
-    view, dist, direct = _walk(structure, head, view, 3)
+    view, dist, direct = _walk(structure, head, 3)
     return (_coverage_set(head, CoveragePolicy.TWO_FIVE_HOP, direct,
                           _member_witnesses(structure, view, head, dist)),
             _coverage_set(head, CoveragePolicy.THREE_HOP, direct,
@@ -78,27 +70,23 @@ def coverage_pair(
 
 
 def three_hop_coverage(
-    structure: ClusterStructure,
-    head: NodeId,
-    *,
-    view: Optional["TopologyView"] = None,
+    structure: ClusterStructure, head: NodeId
 ) -> CoverageSet:
     """Compute clusterhead ``head``'s 3-hop coverage set: the second half
     of :func:`coverage_pair` without the 2.5-hop filter (same arguments,
     same :class:`CoverageError`)."""
-    view, dist, direct = _walk(structure, head, view, 3)
+    view, dist, direct = _walk(structure, head, 3)
     return _coverage_set(head, CoveragePolicy.THREE_HOP, direct,
                          _path_witnesses(structure, view, head, dist))
 
 
-def _walk(structure, head, view, depth):
-    """The view walked (the structure's by default), ``head``'s hop
-    distances up to ``depth``, and ``C2`` with its direct witnesses."""
+def _walk(structure, head, depth):
+    """The structure's topology view, ``head``'s hop distances up to
+    ``depth``, and ``C2`` with its direct witnesses."""
     heads = structure.clusterheads
     if head not in heads:
         raise CoverageError(f"node {head} is not a clusterhead")
-    if view is None:
-        view = structure.topology
+    view = structure.topology
     dist = view.distances_within(head, depth)
     direct = {ch: view.common_neighbours(ch, head)
               for ch, d in dist.items() if d == 2 and ch in heads}

@@ -26,8 +26,6 @@ batched :func:`two_five_hop_arrays` and the distributed implementation in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 import numpy as np
 
 from repro.cluster.state import ClusterStructure
@@ -42,20 +40,14 @@ from repro.graph.csr import (
 )
 from repro.types import CoveragePolicy, NodeId
 
-if TYPE_CHECKING:
-    from repro.topology.view import TopologyView
-
 
 def two_five_hop_coverage(
-    structure: ClusterStructure,
-    head: NodeId,
-    *,
-    view: Optional["TopologyView"] = None,
+    structure: ClusterStructure, head: NodeId
 ) -> CoverageSet:
     """Compute clusterhead ``head``'s 2.5-hop coverage set: the first half
     of :func:`~repro.coverage.three_hop.coverage_pair` (same arguments,
     error and precondition), read off a depth-2 BFS."""
-    view, dist, direct = _walk(structure, head, view, 2)
+    view, dist, direct = _walk(structure, head, 2)
     return _coverage_set(head, CoveragePolicy.TWO_FIVE_HOP, direct,
                          _member_witnesses(structure, view, head, dist))
 

@@ -44,7 +44,7 @@ import random
 import threading
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,17 +104,6 @@ class ExecEvent:
     chunk_start: Optional[int] = None
     chunk_size: Optional[int] = None
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable view (the serve layer streams these)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ExecEvent":
-        """Rebuild an event from :meth:`to_dict` output (extras ignored)."""
-        fields = {"kind", "backend", "failure", "attempt",
-                  "chunk_start", "chunk_size", "detail"}
-        return cls(**{k: v for k, v in dict(data).items() if k in fields})
 
 
 class _ChunkTimeout(Exception):

@@ -53,7 +53,6 @@ class FaultInjector(FaultHook):
         self.sim = network.sim
         self._rng = ensure_rng(rng)
         self._down: Set[NodeId] = set()
-        self._ever_down: Set[NodeId] = set()
         self._cut: Set[Edge] = set()
         self._loss: List[float] = []
         self._dup: List[float] = []
@@ -64,11 +63,6 @@ class FaultInjector(FaultHook):
         self.duplications = 0
         network.medium.fault_hook = self
 
-    def detach(self) -> None:
-        """Unhook from the medium (the ideal channel resumes)."""
-        if self.network.medium.fault_hook is self:
-            self.network.medium.fault_hook = None
-
     # -- node faults -------------------------------------------------------
 
     def crash(self, node: NodeId) -> None:
@@ -76,7 +70,6 @@ class FaultInjector(FaultHook):
         if node not in self.network.graph:
             raise SimulationError(f"cannot crash unknown node {node}")
         self._down.add(node)
-        self._ever_down.add(node)
 
     def recover(self, node: NodeId) -> None:
         """Bring ``node`` back up (a no-op if it was not down)."""
@@ -85,20 +78,6 @@ class FaultInjector(FaultHook):
     def is_up(self, node: NodeId) -> bool:
         """Whether ``node`` is currently operational."""
         return node not in self._down
-
-    @property
-    def down_nodes(self) -> FrozenSet[NodeId]:
-        """Nodes currently crashed."""
-        return frozenset(self._down)
-
-    @property
-    def ever_down(self) -> FrozenSet[NodeId]:
-        """Nodes that were down at any point (recovered or not)."""
-        return frozenset(self._ever_down)
-
-    def live_nodes(self) -> List[NodeId]:
-        """Currently-up node ids, ascending."""
-        return [v for v in self.network.graph.nodes() if v not in self._down]
 
     # -- link faults -------------------------------------------------------
 
@@ -117,15 +96,6 @@ class FaultInjector(FaultHook):
     def restore_link(self, u: NodeId, v: NodeId) -> None:
         """Lift the fault on link ``{u, v}`` (no-op if not cut)."""
         self._cut.discard(ordered_edge(u, v))
-
-    def link_up(self, u: NodeId, v: NodeId) -> bool:
-        """Whether the ``{u, v}`` overlay allows traffic."""
-        return ordered_edge(u, v) not in self._cut
-
-    @property
-    def cut_links(self) -> FrozenSet[Edge]:
-        """Links currently forced down."""
-        return frozenset(self._cut)
 
     def partition(self, nodes: Iterable[NodeId]) -> FrozenSet[Edge]:
         """Cut every current boundary link between ``nodes`` and the rest.

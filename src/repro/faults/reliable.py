@@ -137,12 +137,6 @@ class ReliableOutcome:
     promoted: FrozenSet[NodeId]
     gave_up: FrozenSet[Tuple[NodeId, NodeId]]
 
-    @property
-    def overhead_factor(self) -> float:
-        """Total transmissions per forward node (price of reliability)."""
-        n_fwd = max(1, self.result.num_forward_nodes)
-        return (self.data_transmissions + self.ack_transmissions) / n_fwd
-
 
 class ReliableBroadcast:
     """ACK/retransmit wrapper over a backbone forwarding plan.

@@ -2,8 +2,8 @@
 
 A :class:`FaultSchedule` is an ordered list of timed fault events — node
 crash/recover, link down/up, region partition/heal, message loss and
-duplication windows — that can be saved/loaded as JSON (``to_spec`` /
-``from_spec``) and compiled onto a running simulator with
+duplication windows — that can be loaded from JSON (``from_spec``) and
+compiled onto a running simulator with
 :func:`apply_schedule`.  Event times are *relative to application time*:
 applying a schedule after the control phases ran injects the faults into the
 data plane only, matching the robustness experiments' split.
@@ -110,7 +110,6 @@ _KINDS: Dict[str, type] = {
     "loss-window": LossWindow,
     "duplication-window": DuplicationWindow,
 }
-_TAG_OF = {cls: tag for tag, cls in _KINDS.items()}
 
 SPEC_FORMAT = "repro-fault-schedule"
 SPEC_VERSION = 1
@@ -221,32 +220,17 @@ class FaultSchedule:
 
     # -- JSON spec ---------------------------------------------------------
 
-    def to_spec(self) -> dict:
-        """The schedule as a JSON-serialisable document."""
-        out: List[dict] = []
-        for e in self._events:
-            rec: Dict[str, object] = {"kind": _TAG_OF[type(e)],
-                                      "time": e.time}
-            if isinstance(e, (NodeDown, NodeUp)):
-                rec["node"] = e.node
-            elif isinstance(e, (LinkDown, LinkUp)):
-                rec["u"], rec["v"] = e.u, e.v
-            elif isinstance(e, Partition):
-                rec["nodes"] = sorted(e.nodes)
-                rec["duration"] = (
-                    None if math.isinf(e.duration) else e.duration
-                )
-            else:  # loss / duplication window
-                rec["probability"] = e.probability
-                rec["duration"] = e.duration
-            out.append(rec)
-        return {"format": SPEC_FORMAT, "version": SPEC_VERSION,
-                "events": out}
-
     @classmethod
     def from_spec(cls, spec: dict) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_spec` output (or hand-written
-        JSON)."""
+        """Build a schedule from a JSON document.
+
+        The document is ``{"format": "repro-fault-schedule", "version": 1,
+        "events": [...]}``; each event record carries its ``kind`` tag
+        (``node-down``, ``link-up``, ``partition``, ``loss-window``, ...),
+        its ``time`` and its fields (``node``; ``u``/``v``; ``nodes`` and a
+        ``duration`` where ``null`` means never; ``probability`` and
+        ``duration``).
+        """
         if not isinstance(spec, dict) or spec.get("format") != SPEC_FORMAT:
             raise ConfigurationError("not a repro fault schedule document")
         if spec.get("version") != SPEC_VERSION:

@@ -89,27 +89,6 @@ class SpatialGrid:
             if bucket:
                 yield from bucket
 
-    def neighbours_within(self, index: int, radius: float) -> List[int]:
-        """Indices of points strictly within ``radius`` of point ``index``.
-
-        The queried point itself is excluded.  ``radius`` must not exceed the
-        grid's ``cell_size`` (otherwise the 3x3 block would miss neighbours).
-        """
-        if radius > self._cell_size + 1e-12:
-            raise GeometryError(
-                f"query radius {radius} exceeds grid cell size {self._cell_size}"
-            )
-        p = self._positions[index]
-        out: List[int] = []
-        r2 = radius * radius
-        for j in self.candidates_near(p):
-            if j == index:
-                continue
-            d = self._positions[j] - p
-            if d[0] * d[0] + d[1] * d[1] < r2:
-                out.append(j)
-        return out
-
     def pairs_within(self, radius: float) -> Iterator[Tuple[int, int]]:
         """Yield each unordered pair ``(i, j)`` with ``i < j`` within ``radius``.
 

@@ -80,13 +80,6 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
-    def remove_node(self, v: NodeId) -> None:
-        """Remove node ``v`` and all incident edges."""
-        if v not in self._adj:
-            raise NodeNotFoundError(v)
-        for w in self._adj.pop(v):
-            self._adj[w].discard(v)
-
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, v: object) -> bool:
@@ -168,11 +161,6 @@ class Graph:
 
         return CSRGraph.from_graph(self)
 
-    @classmethod
-    def from_csr(cls, csr) -> "Graph":
-        """A mutable graph equal to the given :class:`~repro.graph.csr.CSRGraph`."""
-        return csr.to_graph()
-
     def copy(self) -> "Graph":
         """Deep copy of the graph."""
         g = Graph()
@@ -190,21 +178,6 @@ class Graph:
             g.add_node(v)
             for w in self._adj[v] & keep:
                 g.add_edge(v, w)
-        return g
-
-    def relabelled(self, mapping: Dict[NodeId, NodeId]) -> "Graph":
-        """Graph with node ids replaced via ``mapping`` (must be a bijection
-        defined on every node)."""
-        missing = [v for v in self._adj if v not in mapping]
-        if missing:
-            raise NodeNotFoundError(missing[0])
-        if len(set(mapping[v] for v in self._adj)) != len(self._adj):
-            raise ValueError("relabelling mapping is not injective on the node set")
-        g = Graph()
-        for v in self._adj:
-            g.add_node(mapping[v])
-        for u, v in self.edges():
-            g.add_edge(mapping[u], mapping[v])
         return g
 
     def adjacency_matrix(self) -> Tuple[np.ndarray, List[NodeId]]:

@@ -10,7 +10,7 @@ The CSR form is the substrate for the per-trial array kernels (unit-disk
 construction, clustering, coverage sets, gateway selection); the set-based
 :class:`~repro.graph.adjacency.Graph` remains the mutable view used by the
 dynamic/mobility paths, bridged through :meth:`CSRGraph.to_graph` /
-:meth:`CSRGraph.from_graph` (and ``Graph.to_csr`` / ``Graph.from_csr``).
+:meth:`CSRGraph.from_graph` (and ``Graph.to_csr``).
 Both directions preserve the graph exactly, and every kernel is gated on
 bit-identical results against the set-based implementation.
 """
@@ -52,7 +52,7 @@ class CSRGraph:
         ids: Node id per row, strictly ascending; ``None`` means ``0..n-1``.
     """
 
-    __slots__ = ("indptr", "indices", "_ids", "_identity_ids")
+    __slots__ = ("indptr", "indices", "_ids")
 
     def __init__(
         self,
@@ -65,7 +65,6 @@ class CSRGraph:
         n = self.indptr.shape[0] - 1
         if ids is None:
             self._ids = None
-            self._identity_ids = True
         else:
             ids = np.ascontiguousarray(ids, dtype=np.int64)
             if ids.shape[0] != n:
@@ -74,10 +73,8 @@ class CSRGraph:
                 )
             if n and not (np.diff(ids) > 0).all():
                 raise GeometryError("CSR ids must be strictly ascending")
-            self._identity_ids = bool(
-                n == 0 or (ids[0] == 0 and ids[-1] == n - 1)
-            )
-            self._ids = None if self._identity_ids else ids
+            identity = n == 0 or (ids[0] == 0 and ids[-1] == n - 1)
+            self._ids = None if identity else ids
 
     # -- shape -------------------------------------------------------------
 
@@ -103,11 +100,6 @@ class CSRGraph:
             return np.arange(self.num_nodes, dtype=np.int64)
         return self._ids
 
-    @property
-    def has_identity_ids(self) -> bool:
-        """Whether row ``r`` is node id ``r`` (the common fast path)."""
-        return self._identity_ids
-
     # -- queries -----------------------------------------------------------
 
     def row(self, r: int) -> np.ndarray:
@@ -129,11 +121,6 @@ class CSRGraph:
         if r < self.num_nodes and self._ids[r] == v:
             return r
         raise NodeNotFoundError(v)
-
-    def neighbour_ids(self, v: NodeId) -> np.ndarray:
-        """Neighbour node ids of node id ``v`` (ascending)."""
-        rows = self.row(self.row_of(v))
-        return rows.astype(np.int64) if self._ids is None else self._ids[rows]
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
@@ -498,19 +485,21 @@ def searchsorted_membership(haystack: np.ndarray, needles: np.ndarray) -> np.nda
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted unique of an integer array: stable (radix) sort + boundaries.
+    """Sorted unique of a freshly built integer array, sorted in place.
 
     ``np.unique`` routes integer input through a hash table whose fixed
-    overhead dwarfs the work for the small-to-mid arrays the maintenance
-    kernels produce every tick — and its output must be sorted anyway.
+    overhead dwarfs the work for the small-to-mid arrays the kernels
+    produce on every step and tick — and its output must be sorted anyway.
+    Every caller passes an array it has just built, so the sort runs in
+    place instead of on a copy.
     """
     if values.shape[0] <= 1:
-        return np.sort(values)
-    out = np.sort(values, kind="stable")
-    keep = np.empty(out.shape[0], dtype=bool)
+        return values
+    values.sort()
+    keep = np.empty(values.shape[0], dtype=bool)
     keep[0] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def mask_unique_rows(rows: np.ndarray, n: int) -> np.ndarray:

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ExperimentError
 from repro.geometry.area import Area
 from repro.geometry.disk import range_for_target_degree
-from repro.geometry.placement import chain_placement, uniform_placement
+from repro.geometry.placement import uniform_placement
 from repro.graph.adjacency import Graph
 from repro.graph.build import connected_unit_disk_graph
 from repro.graph.network import Network
@@ -164,20 +162,3 @@ def random_geometric_network(
         f"no connected sample with n={n}, d={average_degree} in "
         f"{max_attempts} attempts; increase the degree or the budget"
     )
-
-
-def chain_network(n: int, spacing: float = 1.0, radius: float = 1.5,
-                  area: Optional[Area] = None) -> Network:
-    """A connected chain :class:`Network` (worst case for clustering rounds).
-
-    ``spacing < radius < 2 * spacing`` must hold so consecutive nodes are
-    neighbours but next-but-one nodes are not.
-    """
-    if not (spacing < radius < 2.0 * spacing):
-        raise ConfigurationError(
-            f"need spacing < radius < 2*spacing for a chain topology, got "
-            f"spacing={spacing}, radius={radius}"
-        )
-    area = area or Area(max(100.0, spacing * n), max(100.0, spacing * n))
-    pts = chain_placement(n, spacing, area)
-    return Network.from_positions(pts, radius, area=area)

@@ -63,16 +63,6 @@ def is_connected_dominating_set(graph: Graph, nodes: Iterable[NodeId]) -> bool:
     return is_connected(graph.subgraph(cds))
 
 
-def is_maximal_independent_set(graph: Graph, nodes: Iterable[NodeId]) -> bool:
-    """Whether ``nodes`` is independent and no node can be added to it.
-
-    For an independent set, maximality is equivalent to being dominating;
-    lowest-ID clusterheads satisfy both.
-    """
-    ind = _validated(graph, nodes)
-    return is_independent_set(graph, ind) and is_dominating_set(graph, ind)
-
-
 @dataclass(frozen=True, slots=True)
 class DegreeStats:
     """Summary of a graph's degree distribution."""

@@ -415,18 +415,6 @@ class KernelMobilitySession:
 
     # -- materialisation ---------------------------------------------------
 
-    def network(self) -> Network:
-        """The current snapshot as a :class:`~repro.graph.network.Network`."""
-        ids = self._csr.ids.tolist()
-        return Network(
-            graph=self._csr.to_graph(),
-            positions={v: (float(x), float(y))
-                       for v, (x, y) in zip(ids, self._pts)},
-            radius=self.radius,
-            area=self.area,
-            torus=self.torus,
-        )
-
     def structure(self) -> ClusterStructure:
         """The current clustering as a :class:`ClusterStructure`."""
         ids = self._csr.ids

@@ -9,7 +9,7 @@ backbone, the dynamic backbone and MO_CDS directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.backbone.mo_cds import build_mo_cds
 from repro.backbone.static_backbone import build_static_backbone

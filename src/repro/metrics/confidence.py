@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.errors import ConfigurationError, SampleBudgetExceededError
+from repro.errors import ConfigurationError
 
 
 def inverse_normal_cdf(p: float) -> float:
@@ -175,16 +175,6 @@ class ConfidenceInterval:
     samples: int
 
     @property
-    def low(self) -> float:
-        """Lower bound."""
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        """Upper bound."""
-        return self.mean + self.half_width
-
-    @property
     def relative_half_width(self) -> float:
         """``half_width / |mean|`` (``inf`` for a zero mean with spread)."""
         if self.mean == 0.0:
@@ -250,8 +240,9 @@ class SequentialEstimator:
         confidence: Interval confidence level (paper: 0.99).
         target: Relative half-width target (paper: 0.05).
         min_samples: Samples required before convergence may be declared.
-        max_samples: Hard budget; :meth:`require_converged` raises
-            :class:`~repro.errors.SampleBudgetExceededError` beyond it.
+        max_samples: Hard budget; beyond it
+            :func:`~repro.workload.trials.paired_trials` raises
+            :class:`~repro.errors.SampleBudgetExceededError`.
     """
 
     def __init__(
@@ -311,18 +302,3 @@ class SequentialEstimator:
             return self.max_samples
         projected = math.ceil(self.count * ratio * ratio)
         return max(self.min_samples, min(self.max_samples, projected))
-
-    def exhausted(self) -> bool:
-        """Whether the trial budget is spent."""
-        return self.count >= self.max_samples
-
-    def require_converged(self) -> ConfidenceInterval:
-        """Return the interval; raise if the budget ran out before converging."""
-        ci = self.interval()
-        if not self.converged():
-            raise SampleBudgetExceededError(
-                trials=self.count,
-                half_width_ratio=ci.relative_half_width,
-                target=self.target,
-            )
-        return ci

@@ -9,7 +9,7 @@ benchmarks print (the library has no plotting dependency by design).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.metrics.confidence import ConfidenceInterval
@@ -47,10 +47,6 @@ class ExperimentSeries:
     def xs(self) -> List[float]:
         """The x coordinates."""
         return [p.x for p in self.points]
-
-    def means(self) -> List[float]:
-        """The point estimates."""
-        return [p.mean for p in self.points]
 
     def as_dict(self) -> Dict[float, float]:
         """x -> mean mapping."""

@@ -12,7 +12,7 @@ exact, which the equivalence tests exploit):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.backbone.gateway_selection import select_gateways
 from repro.broadcast.result import BroadcastResult

@@ -22,7 +22,7 @@ The recorded entry set depends on the coverage policy:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 from repro.coverage.entries import CoverageSet, WitnessPair, freeze_witnesses
 from repro.errors import ProtocolError

@@ -40,7 +40,3 @@ class HelloProtocol:
     def _on_hello(node: SimNode, sender: NodeId, message: Message) -> None:
         neighbours: Set[NodeId] = node.state[NEIGHBOURS]  # type: ignore[assignment]
         neighbours.add(sender)
-
-    def neighbours_of(self, node_id: NodeId) -> Set[NodeId]:
-        """Discovered neighbour set of ``node_id`` (after the phase ran)."""
-        return set(self.network.node(node_id).state[NEIGHBOURS])  # type: ignore[arg-type]

@@ -11,7 +11,7 @@ the message-level protocol really computes what the paper claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.backbone.static_backbone import Backbone
 from repro.broadcast.result import BroadcastResult

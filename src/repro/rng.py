@@ -8,7 +8,7 @@ harness derives independent child streams per trial via :func:`spawn`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -7,7 +7,7 @@ from typing import List
 
 import numpy as np
 
-from repro.backbone.static_backbone import Backbone, build_static_backbone
+from repro.backbone.static_backbone import build_static_backbone
 from repro.cluster.lowest_id import lowest_id_clustering
 from repro.graph.generators import random_geometric_network
 from repro.graph.traversal import bfs_distances

@@ -19,7 +19,6 @@ and enforces the connection-level contracts:
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from pathlib import Path

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from repro.errors import SimulationError
 
 #: Priority tuples must be comparable against each other; plain int tuples.
 Priority = Tuple[int, ...]
-
-_INF = float("inf")
 
 
 class Event(NamedTuple):
@@ -50,22 +48,11 @@ class EventQueue:
         self.heap: List[Tuple[float, Priority, int, Callable[[], None]]] = []
         self.counter = itertools.count()
 
-    def push(self, time: float, action: Callable[[], None],
-             priority: Priority = ()) -> None:
-        """Enqueue ``action`` at ``time`` (finite and non-negative)."""
-        if not 0.0 <= time < _INF:  # also rejects NaN
-            raise SimulationError(f"cannot schedule at time {time}")
-        heapq.heappush(self.heap, (time, priority, next(self.counter), action))
-
     def pop(self) -> Event:
         """Dequeue the earliest event."""
         if not self.heap:
             raise SimulationError("pop from an empty event queue")
         return Event._make(heapq.heappop(self.heap))
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest event, or ``None`` when empty."""
-        return self.heap[0][0] if self.heap else None
 
     def __len__(self) -> int:
         return len(self.heap)

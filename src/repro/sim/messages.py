@@ -9,7 +9,7 @@ benches compare message *volume* (not just count) between the 2.5-hop and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional
 
 from repro.types import NodeId
 

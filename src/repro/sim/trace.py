@@ -8,9 +8,8 @@ and volumes are what the message-complexity benches fit against ``n``, and
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.sim.messages import Message
 from repro.types import NodeId
@@ -44,25 +43,6 @@ class TraceRecorder:
     def total_volume(self) -> int:
         """Sum of message sizes in id units."""
         return sum(e.message.size() for e in self.entries)
-
-    def count_by_type(self) -> Dict[str, int]:
-        """Transmission counts keyed by message class name."""
-        return dict(Counter(type(e.message).__name__ for e in self.entries))
-
-    def volume_by_type(self) -> Dict[str, int]:
-        """Message volume keyed by message class name."""
-        volumes: Counter[str] = Counter()
-        for e in self.entries:
-            volumes[type(e.message).__name__] += e.message.size()
-        return dict(volumes)
-
-    def messages_from(self, sender: NodeId) -> List[TraceEntry]:
-        """All transmissions by ``sender`` in order."""
-        return [e for e in self.entries if e.sender == sender]
-
-    def completion_time(self) -> float:
-        """Time of the last transmission (0.0 for an empty trace)."""
-        return self.entries[-1].time if self.entries else 0.0
 
     def render(self, limit: int | None = None) -> str:
         """Human-readable trace listing, optionally truncated to ``limit``."""

@@ -8,7 +8,7 @@ connector paths.  Useful for papers, READMEs and debugging.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.backbone.static_backbone import Backbone
 from repro.cluster.state import ClusterStructure

@@ -75,11 +75,6 @@ class MobilityScalingPoint:
     resignalling_per_tick: float
     peak_rss_bytes: int = 0
 
-    @property
-    def maintenance_seconds(self) -> float:
-        """Total kernel wall clock across the timed ticks."""
-        return self.step_seconds + self.delta_seconds + self.repair_seconds
-
 
 def _kernel_session(
     n: int,

@@ -16,19 +16,15 @@ an ideal channel, where it is the only protocol below 100%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.broadcast.passive_clustering import broadcast_passive_clustering
 from repro.exec.scenarios import connected_scenario
 from repro.protocols.broadcast import DistributedSDBroadcast, DistributedSIBroadcast
-from repro.protocols.clustering import DistributedLowestIdClustering
-from repro.protocols.coverage import CoverageExchangeProtocol
-from repro.protocols.hello import HelloProtocol
+from repro.protocols.runner import run_distributed_build
 from repro.rng import RngLike, derive_seed, ensure_rng
-from repro.sim.network import SimNetwork
-from repro.types import CoveragePolicy, NodeId
 
 
 @dataclass(frozen=True)
@@ -38,28 +34,6 @@ class RobustnessPoint:
     loss_probability: float
     delivery: Dict[str, float]
     forwards: Dict[str, float]
-
-
-def _lossy_network(graph, loss: float, rng) -> SimNetwork:
-    """A simulated network with per-delivery loss, pre-clustered losslessly.
-
-    Control traffic (HELLO/clustering/coverage) runs on an ideal channel —
-    the question is data-plane robustness, and mixing in control losses
-    would conflate two failure modes.
-    """
-    net = SimNetwork(graph)
-    hello = HelloProtocol(net)
-    hello.start()
-    net.run_phase()
-    clustering = DistributedLowestIdClustering(net)
-    clustering.start()
-    net.run_phase()
-    coverage = CoverageExchangeProtocol(net, CoveragePolicy.TWO_FIVE_HOP)
-    coverage.start()
-    net.run_phase()
-    # Flip the medium to lossy for the data phase.
-    net.medium.set_loss(loss, rng)
-    return net, clustering, coverage
 
 
 def run_robustness_sweep(
@@ -109,9 +83,13 @@ def run_robustness_sweep(
         for scenario, source in batch:
             graph = scenario.network.graph
             loss_rng = ensure_rng(int(generator.integers(0, 2**32)))
-            sim_net, _clustering, coverage = _lossy_network(
-                graph, loss, loss_rng
-            )
+            # Control traffic (HELLO/clustering/coverage) runs on an ideal
+            # channel — the question is data-plane robustness, and mixing
+            # in control losses would conflate two failure modes.  The
+            # medium turns lossy for the data phase only.
+            build = run_distributed_build(graph, include_gateway_phase=False)
+            sim_net, coverage = build.network, build.coverage
+            sim_net.medium.set_loss(loss, loss_rng)
             # Flooding: SI broadcast with the full node set as the CDS.
             flood = DistributedSIBroadcast(sim_net, graph.nodes())
             flood.start(source)

@@ -4,7 +4,9 @@
 a mobility model and re-derives everything each tick over the dict/set
 object layer: the unit-disk graph, the lowest-ID clustering, the static
 backbone and connectivity.  The churn between two snapshots is read off as
-node sets by :func:`cluster_churn` and :func:`backbone_churn`.
+node sets by :func:`cluster_churn` and :func:`backbone_churn`, and
+:func:`session_network` turns a kernel session's arrays back into a
+:class:`~repro.graph.network.Network` to compare against.
 :class:`~repro.maintenance.kernels.KernelMobilitySession` must reproduce
 every tick, and each of its churn counts must be the size of the matching
 set here.
@@ -22,7 +24,21 @@ from repro.errors import ConfigurationError
 from repro.geometry.mobility import MobilityModel
 from repro.graph.connectivity import is_connected
 from repro.graph.network import Network
+from repro.maintenance.kernels import KernelMobilitySession
 from repro.types import CoveragePolicy, NodeId
+
+
+def session_network(session: KernelMobilitySession) -> Network:
+    """A kernel session's current snapshot as a :class:`Network`."""
+    ids = session.csr.ids.tolist()
+    return Network(
+        graph=session.csr.to_graph(),
+        positions={v: (float(x), float(y))
+                   for v, (x, y) in zip(ids, session.positions)},
+        radius=session.radius,
+        area=session.area,
+        torus=session.torus,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -53,18 +53,18 @@ class TestTargetsRestriction:
         cov = compute_coverage_set(fig3_clustering, 3)
         sel = select_gateways(cov, targets={4})
         assert sel.gateways == frozenset({9})
-        assert sel.covered_targets() == frozenset({4})
+        assert frozenset(sel.connectors) == frozenset({4})
 
     def test_empty_targets_empty_selection(self, fig3_clustering):
         cov = compute_coverage_set(fig3_clustering, 3)
         sel = select_gateways(cov, targets=set())
         assert sel.gateways == frozenset()
-        assert sel.num_gateways == 0
+        assert len(sel.gateways) == 0
 
     def test_foreign_targets_ignored(self, fig3_clustering):
         cov = compute_coverage_set(fig3_clustering, 2)
         sel = select_gateways(cov, targets={1, 99})
-        assert sel.covered_targets() == frozenset({1})
+        assert frozenset(sel.connectors) == frozenset({1})
 
 
 class TestGreedyBehaviour:
@@ -134,7 +134,7 @@ class TestProperties:
             for policy in CoveragePolicy:
                 cov = compute_coverage_set(cs, head, policy)
                 sel = select_gateways(cov)
-                assert sel.covered_targets() == cov.all_targets
+                assert frozenset(sel.connectors) == cov.all_targets
                 for ch, path in sel.connectors.items():
                     hops = [head, *path, ch]
                     for a, b in zip(hops, hops[1:]):

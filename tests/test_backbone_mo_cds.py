@@ -54,8 +54,8 @@ class TestComparisonWithStatic:
         mo = build_mo_cds(cs)
         for head in cs.sorted_heads():
             targets = mo.coverage_sets[head].all_targets
-            assert mo.selections[head].covered_targets() == targets
-            assert static3.selections[head].covered_targets() == targets
+            assert frozenset(mo.selections[head].connectors) == targets
+            assert frozenset(static3.selections[head].connectors) == targets
 
     @settings(max_examples=12, deadline=None)
     @given(net=geometric_networks())

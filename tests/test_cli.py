@@ -119,11 +119,10 @@ class TestExtensionCommands:
         assert len(doc["points"]) == 2
 
     def test_faults_schedule_file(self, tmp_path, capsys):
-        from repro.faults.schedule import FaultSchedule, NodeDown
-
         spec = tmp_path / "schedule.json"
-        spec.write_text(json.dumps(
-            FaultSchedule([NodeDown(time=1.0, node=5)]).to_spec()))
+        spec.write_text(json.dumps({
+            "format": "repro-fault-schedule", "version": 1,
+            "events": [{"kind": "node-down", "time": 1.0, "node": 5}]}))
         assert main(["faults", "-n", "20", "-d", "8", "--seed", "4",
                      "--schedule", str(spec), "--source", "0",
                      "--loss", "0.1"]) == 0

@@ -137,28 +137,6 @@ class TestFatalFailures:
         assert failures and failures[0].failure == "fatal"
 
 
-class TestExecEventSerialisation:
-    def test_round_trip_through_dict(self):
-        event = ExecEvent(kind="chunk-failure", backend="process",
-                          failure="crash", attempt=2, chunk_start=8,
-                          chunk_size=4, detail="BrokenExecutor('x')")
-        assert ExecEvent.from_dict(event.to_dict()) == event
-
-    def test_round_trip_through_json(self):
-        import json
-
-        event = ExecEvent(kind="degrade", backend="thread",
-                          detail="thread -> serial")
-        payload = json.loads(json.dumps(event.to_dict()))
-        assert ExecEvent.from_dict(payload) == event
-
-    def test_from_dict_ignores_unknown_fields(self):
-        data = ExecEvent(kind="retry", backend="serial").to_dict()
-        data["request_id"] = "r-42"  # serve layer may decorate the stream
-        assert ExecEvent.from_dict(data) == \
-            ExecEvent(kind="retry", backend="serial")
-
-
 class TestOwnership:
     class _Closable(ExecutionBackend):
         name = "serial"

@@ -38,20 +38,13 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_neighbours_within_excludes_self(self):
-        pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.9, 0.0]])
-        grid = SpatialGrid(pts, 1.0)
-        assert set(grid.neighbours_within(0, 0.5)) == {1}
-
     def test_strict_inequality(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
         grid = SpatialGrid(pts, 1.0)
-        assert grid.neighbours_within(0, 1.0) == []
+        assert list(grid.pairs_within(1.0)) == []
 
     def test_radius_larger_than_cell_rejected(self):
         grid = SpatialGrid(np.zeros((2, 2)), 1.0)
-        with pytest.raises(GeometryError):
-            grid.neighbours_within(0, 1.5)
         with pytest.raises(GeometryError):
             list(grid.pairs_within(1.5))
 

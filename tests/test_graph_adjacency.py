@@ -61,14 +61,6 @@ class TestMutation:
         with pytest.raises(KeyError):
             triangle.remove_edge(0, 99)
 
-    def test_remove_node_clears_incident_edges(self, triangle):
-        triangle.remove_node(1)
-        assert 1 not in triangle
-        assert triangle.neighbours(0) == frozenset({2})
-
-    def test_remove_missing_node(self, triangle):
-        with pytest.raises(NodeNotFoundError):
-            triangle.remove_node(42)
 
 
 class TestQueries:
@@ -114,18 +106,6 @@ class TestConversion:
     def test_subgraph_unknown_node(self, triangle):
         with pytest.raises(NodeNotFoundError):
             triangle.subgraph([0, 9])
-
-    def test_relabelled(self, triangle):
-        g = triangle.relabelled({0: 10, 1: 11, 2: 12})
-        assert g.edges() == [(10, 11), (10, 12), (11, 12)]
-
-    def test_relabelled_requires_total_mapping(self, triangle):
-        with pytest.raises(NodeNotFoundError):
-            triangle.relabelled({0: 10})
-
-    def test_relabelled_requires_injective(self, triangle):
-        with pytest.raises(ValueError):
-            triangle.relabelled({0: 5, 1: 5, 2: 6})
 
     def test_adjacency_matrix(self, triangle):
         mat, order = triangle.adjacency_matrix()

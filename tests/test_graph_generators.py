@@ -10,7 +10,6 @@ from repro.graph.connectivity import is_connected
 from repro.graph.generators import (
     PAPER_FIGURE3_EDGES,
     chain_graph,
-    chain_network,
     grid_graph,
     paper_figure3_graph,
     random_geometric_network,
@@ -109,14 +108,3 @@ class TestRandomGeometricNetwork:
     def test_single_node(self):
         net = random_geometric_network(1, 6.0, rng=5)
         assert net.num_nodes == 1
-
-
-class TestChainNetwork:
-    def test_is_a_chain(self):
-        net = chain_network(12)
-        degrees = sorted(net.graph.degree(v) for v in net.graph)
-        assert degrees == [1, 1] + [2] * 10
-
-    def test_parameter_constraint(self):
-        with pytest.raises(ConfigurationError):
-            chain_network(5, spacing=1.0, radius=2.5)

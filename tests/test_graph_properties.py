@@ -10,7 +10,6 @@ from repro.graph.properties import (
     is_connected_dominating_set,
     is_dominating_set,
     is_independent_set,
-    is_maximal_independent_set,
 )
 
 
@@ -47,10 +46,6 @@ class TestIndependentSet:
 
     def test_empty_is_independent(self, p5):
         assert is_independent_set(p5, [])
-
-    def test_maximal_independent(self, p5):
-        assert is_maximal_independent_set(p5, [1, 3])
-        assert not is_maximal_independent_set(p5, [0, 4])  # 2 can be added
 
 
 class TestCds:

@@ -21,7 +21,12 @@ from repro.maintenance.kernels import KernelMobilitySession
 from repro.maintenance.stability import rebuild_messages, resignalling_messages
 from repro.types import CoveragePolicy
 
-from mobility_oracle import ScratchSession, backbone_churn, cluster_churn
+from mobility_oracle import (
+    ScratchSession,
+    backbone_churn,
+    cluster_churn,
+    session_network,
+)
 
 
 def clustering_of(edges, extra_nodes=()):
@@ -225,7 +230,7 @@ def accounted_run(speed, seed=21, n=40, ticks=1, dt=1.0,
         report = session.step(dt)
         after = session.backbone()
         tick = AccountedTick(report.time, report.link_changes,
-                             session.network(), after)
+                             session_network(session), after)
         out.append((tick, resignalling_messages(before, after)))
         before = after
     return out
@@ -391,7 +396,7 @@ class TestAdverseMaintenance:
         )
         for _ in range(3):
             inc.step()
-            scratch = lowest_id_clustering(inc.network().graph)
+            scratch = lowest_id_clustering(session_network(inc).graph)
             assert inc.structure().head_of == scratch.head_of
             assert inc.backbone().nodes == \
                 build_static_backbone(scratch).nodes

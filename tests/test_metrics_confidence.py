@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.errors import ConfigurationError, SampleBudgetExceededError
+from repro.errors import ConfigurationError
 from repro.metrics import confidence as confidence_module
 from repro.metrics.confidence import (
     ConfidenceInterval,
@@ -132,7 +132,7 @@ class TestConfidenceInterval:
         expected = scipy_stats.t.ppf(0.975, 4) * sem
         assert ci.mean == pytest.approx(mean)
         assert ci.half_width == pytest.approx(expected, rel=2e-3)
-        assert ci.low < mean < ci.high
+        assert ci.mean - ci.half_width < mean < ci.mean + ci.half_width
 
     def test_single_sample_degenerate(self):
         ci = confidence_interval([5.0])
@@ -166,8 +166,7 @@ class TestSequentialEstimator:
         for _ in range(5):
             est.add(100.0)
         assert est.converged()
-        ci = est.require_converged()
-        assert ci.mean == 100.0
+        assert est.interval().mean == 100.0
 
     def test_no_early_convergence(self):
         est = SequentialEstimator(min_samples=30)
@@ -192,15 +191,6 @@ class TestSequentialEstimator:
         ci = est.interval()
         assert ci.relative_half_width <= 0.05
         assert ci.mean == pytest.approx(50.0, rel=0.06)
-
-    def test_require_converged_raises(self):
-        est = SequentialEstimator(min_samples=2, max_samples=3)
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            est.add(rng.normal(0.1, 50.0))
-        with pytest.raises(SampleBudgetExceededError):
-            est.require_converged()
-        assert est.exhausted()
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

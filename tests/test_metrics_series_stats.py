@@ -19,7 +19,7 @@ class TestExperimentSeries:
         s.add(20, ci(10.0))
         s.add(40, ci(20.0))
         assert s.xs() == [20, 40]
-        assert s.means() == [10.0, 20.0]
+        assert [p.mean for p in s.points] == [10.0, 20.0]
         assert s.as_dict() == {20: 10.0, 40: 20.0}
 
     def test_x_must_increase(self):
@@ -58,7 +58,7 @@ class TestSeriesTable:
 
     def test_get_series(self):
         t = self.make_table()
-        assert t.get("alg-a").means() == [10.0, 20.0]
+        assert [p.mean for p in t.get("alg-a").points] == [10.0, 20.0]
         with pytest.raises(KeyError):
             t.get("nope")
 

@@ -31,7 +31,7 @@ from repro.graph.network import Network
 from repro.maintenance.kernels import KernelMobilitySession, _sorted_diff
 from repro.types import CoveragePolicy
 
-from mobility_oracle import ScratchSession
+from mobility_oracle import ScratchSession, session_network
 from repair_oracle import repair_rounds_from_scratch
 
 
@@ -111,7 +111,7 @@ class TestSessionEquivalence:
             old_network = oracle.network
             ro = oracle.step(1.0)
             rk = ker.step(1.0)
-            network, backbone = ker.network(), ker.backbone()
+            network, backbone = session_network(ker), ker.backbone()
             assert ro.network.positions == network.positions
             assert set(ro.network.graph.edges()) == set(
                 network.graph.edges()

@@ -1,6 +1,7 @@
 """Tests for the per-stage performance counters."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,11 +12,16 @@ from repro import perf
 def _clean_counters():
     was = perf.enabled()
     was_mem = perf.memory_enabled()
+    was_tracing = tracemalloc.is_tracing()
     perf.reset()
     yield
     perf.enable(was)
     perf.enable_memory(was_mem)
     perf.reset()
+    # Memory sampling starts tracemalloc; left running, it would slow
+    # every allocation in the tests that follow.
+    if not was_tracing:
+        tracemalloc.stop()
 
 
 class TestDisabled:

@@ -1,6 +1,8 @@
 """Tests for the distributed protocol phases (hello, clustering, coverage,
 gateway) — individually and against their centralised counterparts."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,12 +13,25 @@ from repro.graph.generators import chain_graph, paper_figure3_graph
 from repro.protocols.clustering import DistributedLowestIdClustering
 from repro.protocols.coverage import CoverageExchangeProtocol
 from repro.protocols.gateway import GatewayDesignationProtocol
-from repro.protocols.hello import HelloProtocol
+from repro.protocols.hello import NEIGHBOURS, HelloProtocol
 from repro.sim.network import SimNetwork
 from repro.types import CoveragePolicy
 
 from coverage_oracle import ch_hop_walk
 from strategies import connected_graphs
+
+
+def count_by_type(trace):
+    """Transmissions in ``trace`` keyed by message class name."""
+    return Counter(type(e.message).__name__ for e in trace.entries)
+
+
+def volume_by_type(trace):
+    """Message volume in ``trace`` keyed by message class name."""
+    volumes = Counter()
+    for e in trace.entries:
+        volumes[type(e.message).__name__] += e.message.size()
+    return volumes
 
 
 def run_through_clustering(graph):
@@ -37,14 +52,15 @@ class TestHello:
         hello.start()
         net.run_phase()
         for v in fig3_graph.nodes():
-            assert hello.neighbours_of(v) == set(fig3_graph.neighbours(v))
+            assert net.node(v).state[NEIGHBOURS] == set(
+                fig3_graph.neighbours(v))
 
     def test_one_message_per_node(self, fig3_graph):
         net = SimNetwork(fig3_graph)
         HelloProtocol(net).start()
         # protocol object created above registered handlers; start sends.
         net.run_phase()
-        assert net.trace.count_by_type()["Hello"] == fig3_graph.num_nodes
+        assert count_by_type(net.trace)["Hello"] == fig3_graph.num_nodes
 
 
 class TestDistributedClustering:
@@ -60,7 +76,7 @@ class TestDistributedClustering:
 
     def test_one_declaration_per_node(self, fig3_graph):
         net, _hello, _clustering = run_through_clustering(fig3_graph)
-        counts = net.trace.count_by_type()
+        counts = count_by_type(net.trace)
         total = counts.get("ClusterHead", 0) + counts.get("NonClusterHead", 0)
         assert total == fig3_graph.num_nodes
 
@@ -129,7 +145,7 @@ class TestCoverageExchange:
         coverage = CoverageExchangeProtocol(net)
         coverage.start()
         net.run_phase()
-        counts = net.trace.count_by_type()
+        counts = count_by_type(net.trace)
         non_heads = fig3_graph.num_nodes - 4
         assert counts["ChHop1"] == non_heads
         assert counts["ChHop2"] == non_heads
@@ -140,7 +156,7 @@ class TestCoverageExchange:
             cov = CoverageExchangeProtocol(net, policy)
             cov.start()
             net.run_phase()
-            return net.trace.volume_by_type().get("ChHop2", 0)
+            return volume_by_type(net.trace).get("ChHop2", 0)
 
         assert volume(CoveragePolicy.THREE_HOP) >= volume(
             CoveragePolicy.TWO_FIVE_HOP
@@ -185,7 +201,7 @@ class TestGatewayDesignation:
 
     def test_gateway_message_budget(self, fig3_graph):
         net, clustering, _gateway = self._build(fig3_graph)
-        counts = net.trace.count_by_type()
+        counts = count_by_type(net.trace)
         # At least one GATEWAY per head; forwards bounded by selected
         # first-hop gateways per head.
         heads = len(clustering.result().clusterheads)

@@ -1,5 +1,6 @@
 """Tests for the event queue and simulation engine."""
 
+import heapq
 import math
 
 import pytest
@@ -9,12 +10,17 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 
 
+def push(q, time, action, priority=()):
+    """Enqueue the way :meth:`Simulator.schedule` does."""
+    heapq.heappush(q.heap, (time, priority, next(q.counter), action))
+
+
 class TestEventQueue:
     def test_time_ordering(self):
         q = EventQueue()
         order = []
-        q.push(2.0, lambda: order.append("b"))
-        q.push(1.0, lambda: order.append("a"))
+        push(q, 2.0, lambda: order.append("b"))
+        push(q, 1.0, lambda: order.append("a"))
         q.pop().action()
         q.pop().action()
         assert order == ["a", "b"]
@@ -22,8 +28,8 @@ class TestEventQueue:
     def test_priority_breaks_time_ties(self):
         q = EventQueue()
         order = []
-        q.push(1.0, lambda: order.append("second"), priority=(5,))
-        q.push(1.0, lambda: order.append("first"), priority=(2,))
+        push(q, 1.0, lambda: order.append("second"), priority=(5,))
+        push(q, 1.0, lambda: order.append("first"), priority=(2,))
         q.pop().action()
         q.pop().action()
         assert order == ["first", "second"]
@@ -31,8 +37,8 @@ class TestEventQueue:
     def test_seq_breaks_full_ties(self):
         q = EventQueue()
         order = []
-        q.push(1.0, lambda: order.append(1), priority=(0,))
-        q.push(1.0, lambda: order.append(2), priority=(0,))
+        push(q, 1.0, lambda: order.append(1), priority=(0,))
+        push(q, 1.0, lambda: order.append(2), priority=(0,))
         q.pop().action()
         q.pop().action()
         assert order == [1, 2]  # insertion-stable
@@ -42,22 +48,17 @@ class TestEventQueue:
             EventQueue().pop()
 
     def test_negative_time_rejected(self):
+        sim = Simulator()
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
+            sim.schedule(-1.0, lambda: None)
+        assert sim.pending == 0
 
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, time):
-        q = EventQueue()
+        sim = Simulator()
         with pytest.raises(SimulationError):
-            q.push(time, lambda: None)
-        assert len(q) == 0
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(3.0, lambda: None)
-        assert q.peek_time() == 3.0
-        assert len(q) == 1
+            sim.schedule(time, lambda: None)
+        assert sim.pending == 0
 
 
 class TestSimulator:

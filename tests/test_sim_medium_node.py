@@ -111,16 +111,17 @@ class TestTrace:
         triangle_net.run_phase()
         trace = triangle_net.trace
         assert trace.total_messages == 2
-        assert trace.count_by_type() == {"Hello": 1, "NonClusterHead": 1}
+        assert [type(e.message).__name__ for e in trace.entries] == [
+            "Hello", "NonClusterHead"]
         assert trace.total_volume == 1 + 2
-        assert trace.volume_by_type()["NonClusterHead"] == 2
+        assert trace.entries[1].message.size() == 2
 
     def test_messages_from_and_completion(self, triangle_net):
         triangle_net.sim.schedule(0.0, lambda: triangle_net.node(0).send(Hello(origin=0)))
         triangle_net.run_phase()
-        assert len(triangle_net.trace.messages_from(0)) == 1
-        assert triangle_net.trace.messages_from(1) == []
-        assert triangle_net.trace.completion_time() == 0.0
+        entries = triangle_net.trace.entries
+        assert [e.sender for e in entries] == [0]
+        assert entries[-1].time == 0.0
 
     def test_render_truncation(self):
         trace = TraceRecorder()
@@ -131,5 +132,5 @@ class TestTrace:
 
     def test_empty_trace(self):
         trace = TraceRecorder()
-        assert trace.completion_time() == 0.0
+        assert trace.entries == []
         assert trace.render() == ""
